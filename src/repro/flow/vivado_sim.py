@@ -175,6 +175,7 @@ class VivadoSim:
         self.incremental_synth = incremental_synth
         self.incremental_impl = incremental_impl
         self.sources = SourceCollection()
+        self._read_texts: set[tuple[str, HdlLanguage]] = set()
         self.target_period_ns: float = 1.0  # paper default: 1 GHz target
         self.checkpoints = CheckpointStore()
         self.stopwatch = Stopwatch()
@@ -215,9 +216,17 @@ class VivadoSim:
         self.target_period_ns = float(period_ns)
 
     def read_hdl(self, text: str, language: HdlLanguage | str) -> list[str]:
-        """Read HDL text (read_vhdl / read_verilog -sv); returns module names."""
+        """Read HDL text (read_vhdl / read_verilog -sv); returns module names.
+
+        Re-reading an identical ``(text, language)`` adds no second source
+        unit: the first one already answers every module lookup, and a
+        long-lived session re-reads its design at every evaluation.
+        """
         language = HdlLanguage(language)
         modules = parse_source(text, language)
+        if (text, language) in self._read_texts:
+            return [m.name for m in modules]
+        self._read_texts.add((text, language))
         from repro.hdl.ast import SourceUnit
 
         self.sources.add_unit(

@@ -32,9 +32,7 @@ The D-series rules (:mod:`repro.analysis.dataflow_rules`) consume both.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.errors import ParseError
 from repro.hdl import expr as E
@@ -44,6 +42,9 @@ from repro.hdl.hierarchy import _VERILOG_STMT_WORDS
 from repro.hdl.lexer import Lexer, TokenKind, VERILOG_LEX, VHDL_LEX
 from repro.hdl.verilog_parser import VerilogParser
 from repro.hdl.vhdl_parser import VhdlParser
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "GenerateCondition",
@@ -571,6 +572,13 @@ def _param_node(name: str) -> str:
     return f"param:{name.lower()}"
 
 
+def _digraph() -> nx.DiGraph:
+    # networkx loads lazily, only when a dependency graph is built.
+    import networkx as nx
+
+    return nx.DiGraph()
+
+
 @dataclass
 class ParameterDependencyGraph:
     """Directed parameter→sink flow graph for one module.
@@ -583,7 +591,7 @@ class ParameterDependencyGraph:
 
     module: Module
     scan: Optional[BodyScan] = None
-    graph: nx.DiGraph = field(default_factory=nx.DiGraph)
+    graph: nx.DiGraph = field(default_factory=_digraph)
     _sinks: dict[str, Sink] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -645,6 +653,8 @@ class ParameterDependencyGraph:
 
     def flows(self, param: str) -> tuple[Sink, ...]:
         """Every sink ``param`` reaches, directly or through localparams."""
+        import networkx as nx
+
         node = _param_node(param)
         if node not in self.graph:
             return ()

@@ -10,6 +10,8 @@ package files sort first in compile order.
 
 from __future__ import annotations
 
+import functools
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -18,8 +20,15 @@ from repro.errors import ModuleNotFoundInSource, UnknownLanguageError
 from repro.hdl.ast import HdlLanguage, Module, SourceUnit
 from repro.hdl.verilog_parser import parse_verilog
 from repro.hdl.vhdl_parser import parse_vhdl
+from repro.observe import current_telemetry
 
-__all__ = ["detect_language", "parse_source", "parse_file", "SourceCollection"]
+__all__ = [
+    "PARSE_MEMO_CAPACITY",
+    "detect_language",
+    "parse_source",
+    "parse_file",
+    "SourceCollection",
+]
 
 _EXT_LANG = {
     ".vhd": HdlLanguage.VHDL,
@@ -54,6 +63,38 @@ def detect_language(path: str | Path | None = None, source: str | None = None) -
 
 _MACRO_DIRECTIVES = ("`define", "`include", "`ifdef", "`ifndef")
 
+#: Distinct sources the parse memo keeps.  Fixed and small on purpose: a
+#: DSE loop re-reads one design source plus a box wrapper per point, and
+#: the memo must not grow with the number of points evaluated.
+PARSE_MEMO_CAPACITY = 64
+
+# Per-thread "the last lookup missed" flag, set by the memoized function.
+_memo_state = threading.local()
+
+
+def _has_macros(source: str, language: HdlLanguage) -> bool:
+    return language != HdlLanguage.VHDL and any(d in source for d in _MACRO_DIRECTIVES)
+
+
+def _parse(
+    source: str, language: HdlLanguage, include_dirs: tuple[str, ...]
+) -> list[Module]:
+    if language == HdlLanguage.VHDL:
+        return parse_vhdl(source)
+    if _has_macros(source, language):
+        from repro.hdl.preprocess import preprocess_verilog
+
+        source = preprocess_verilog(source, include_dirs=include_dirs)
+    return parse_verilog(source, language)
+
+
+@functools.lru_cache(maxsize=PARSE_MEMO_CAPACITY)
+def _parse_memoized(
+    source: str, language: HdlLanguage, include_dirs: tuple[str, ...]
+) -> tuple[Module, ...]:
+    _memo_state.missed = True
+    return tuple(_parse(source, language, include_dirs))
+
 
 def parse_source(
     source: str,
@@ -65,15 +106,26 @@ def parse_source(
     Verilog/SV sources carrying macro directives run through the
     preprocessor first (``\\`timescale``-style pass-through directives
     alone don't need it — the lexer skips those).
+
+    Results are memoized on ``(source, language, include_dirs)`` for the
+    last :data:`PARSE_MEMO_CAPACITY` distinct sources; the AST is frozen,
+    so callers share it safely.  Sources carrying macro directives bypass
+    the memo: an ``\\`include`` reads the disk, and the included file may
+    have changed since.  With telemetry enabled, memo lookups count as
+    ``hdl.parse_memo_hits`` / ``hdl.parse_memo_misses``.
     """
     language = HdlLanguage(language)
-    if language == HdlLanguage.VHDL:
-        return parse_vhdl(source)
-    if any(d in source for d in _MACRO_DIRECTIVES):
-        from repro.hdl.preprocess import preprocess_verilog
-
-        source = preprocess_verilog(source, include_dirs=include_dirs)
-    return parse_verilog(source, language)
+    if _has_macros(source, language):
+        return _parse(source, language, include_dirs)
+    tel = current_telemetry()
+    if tel is None:
+        return list(_parse_memoized(source, language, include_dirs))
+    _memo_state.missed = False
+    modules = _parse_memoized(source, language, include_dirs)
+    tel.counters.inc(
+        "hdl.parse_memo_misses" if _memo_state.missed else "hdl.parse_memo_hits"
+    )
+    return list(modules)
 
 
 def parse_file(path: str | Path) -> SourceUnit:

@@ -20,13 +20,15 @@ a tree rendering for reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.errors import HdlError
 from repro.hdl.ast import HdlLanguage
 from repro.hdl.cursor import Cursor
 from repro.hdl.lexer import Lexer, TokenKind, VERILOG_LEX, VHDL_LEX
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Instance", "Hierarchy", "extract_instances", "build_hierarchy"]
 
@@ -194,11 +196,18 @@ def extract_instances(source: str, language: HdlLanguage | str) -> list[Instance
     return _verilog_instances(source)
 
 
+def _multidigraph() -> nx.MultiDiGraph:
+    # networkx loads lazily: the DSE flow never builds a hierarchy.
+    import networkx as nx
+
+    return nx.MultiDiGraph()
+
+
 @dataclass
 class Hierarchy:
     """The design tree built from instantiation edges."""
 
-    graph: nx.MultiDiGraph = field(default_factory=nx.MultiDiGraph)
+    graph: nx.MultiDiGraph = field(default_factory=_multidigraph)
 
     def add(self, instance: Instance) -> None:
         self.graph.add_edge(
@@ -225,6 +234,8 @@ class Hierarchy:
         )
 
     def check_acyclic(self) -> None:
+        import networkx as nx
+
         try:
             cycle = nx.find_cycle(self.graph)
         except nx.NetworkXNoCycle:
@@ -234,6 +245,8 @@ class Hierarchy:
 
     def subtree(self, module: str) -> set[str]:
         """All modules reachable from ``module`` (itself included)."""
+        import networkx as nx
+
         module = module.lower()
         if module not in self.graph:
             return {module}

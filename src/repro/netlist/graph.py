@@ -11,9 +11,7 @@ synthesis error).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, cast
-
-import networkx as nx
+from typing import Any, Iterable
 
 from repro.errors import ElaborationError
 from repro.netlist.blocks import Block, Net, PortBits
@@ -38,16 +36,54 @@ class TimingArc:
         return len(self.blocks) - 1
 
 
+def _has_cycle(edges: Iterable[tuple[str, str]]) -> bool:
+    """Iterative three-colour DFS: does the directed edge set contain a cycle?"""
+    succ: dict[str, list[str]] = {}
+    for src, dst in edges:
+        succ.setdefault(src, []).append(dst)
+    on_stack, done = 1, 2
+    state: dict[str, int] = {}
+    for root in succ:
+        if root in state:
+            continue
+        state[root] = on_stack
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            node, children = stack[-1]
+            for child in children:
+                mark = state.get(child)
+                if mark == on_stack:
+                    return True
+                if mark is None:
+                    state[child] = on_stack
+                    stack.append((child, iter(succ.get(child, ()))))
+                    break
+            else:
+                state[node] = done
+                stack.pop()
+    return False
+
+
 class Netlist:
-    """Mutable during elaboration, then treated as immutable by the flow."""
+    """Mutable during elaboration, then treated as immutable by the flow.
+
+    Blocks are kept in insertion order and nets as ``_succ[src][dst]``, so
+    :meth:`blocks` and :meth:`nets` iterate in a fixed order: blocks as
+    added, nets grouped by source block, each group in the order its
+    connections were first made.  The placer sums float terms in
+    :meth:`nets` order, so that order is part of every placement's
+    identity.
+    """
 
     def __init__(self, top: str) -> None:
         self.top = top
-        self._g = nx.DiGraph()
+        self._blocks: dict[str, Block] = {}
+        self._succ: dict[str, dict[str, Net]] = {}
         self.ports = PortBits()
         #: (src, dst) pairs whose edge was overwritten by a later add_net —
-        #: last-writer-wins semantics are kept for the flow, but lint rule
-        #: N003 (multiply-driven net) reports the collisions.
+        #: last-writer-wins semantics are kept for the flow (the edge keeps
+        #: its position), but lint rule N003 (multiply-driven net) reports
+        #: the collisions.
         self.duplicate_connections: list[tuple[str, str]] = []
         #: Set by :meth:`timing_arcs` when enumeration hit ``max_arcs``.
         self.timing_arcs_truncated: bool = False
@@ -57,18 +93,20 @@ class Netlist:
     # ------------------------------------------------------------------
 
     def add_block(self, block: Block) -> Block:
-        if block.name in self._g:
+        if block.name in self._blocks:
             raise ElaborationError(f"duplicate block name {block.name!r}")
-        self._g.add_node(block.name, block=block)
+        self._blocks[block.name] = block
+        self._succ[block.name] = {}
         return block
 
     def add_net(self, net: Net) -> Net:
         for endpoint in (net.src, net.dst):
-            if endpoint not in self._g:
+            if endpoint not in self._blocks:
                 raise ElaborationError(f"net references unknown block {endpoint!r}")
-        if self._g.has_edge(net.src, net.dst):
+        out = self._succ[net.src]
+        if net.dst in out:
             self.duplicate_connections.append((net.src, net.dst))
-        self._g.add_edge(net.src, net.dst, net=net)
+        out[net.dst] = net
         return net
 
     def connect(
@@ -87,7 +125,7 @@ class Netlist:
         updated = dataclasses.replace(current, **changes)
         if updated.name != name:
             raise ElaborationError("replace_block cannot rename a block")
-        self._g.nodes[name]["block"] = updated
+        self._blocks[name] = updated
         return updated
 
     # ------------------------------------------------------------------
@@ -96,21 +134,21 @@ class Netlist:
 
     def block(self, name: str) -> Block:
         try:
-            return cast(Block, self._g.nodes[name]["block"])
+            return self._blocks[name]
         except KeyError:
             raise KeyError(f"no block {name!r} in netlist {self.top!r}") from None
 
     def blocks(self) -> list[Block]:
-        return [self._g.nodes[n]["block"] for n in self._g.nodes]
+        return list(self._blocks.values())
 
     def nets(self) -> list[Net]:
-        return [self._g.edges[e]["net"] for e in self._g.edges]
+        return [net for out in self._succ.values() for net in out.values()]
 
     def __len__(self) -> int:
-        return self._g.number_of_nodes()
+        return len(self._blocks)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._g
+        return name in self._blocks
 
     def totals(self) -> dict[str, int]:
         """Aggregate abstract quantities over all blocks."""
@@ -142,12 +180,16 @@ class Netlist:
         Each loop is rotated so it starts at its lexicographically smallest
         block and the list is sorted (shortest first, then lexicographic),
         so the result is deterministic regardless of traversal order.
+        Acyclic netlists (every netlist the flow accepts) are answered by
+        a DFS; only a netlist that has a loop pays for enumerating them.
         """
-        comb = nx.DiGraph(
-            (n.src, n.dst) for n in self.nets() if n.combinational
-        )
+        comb = [(n.src, n.dst) for n in self.nets() if n.combinational]
+        if not _has_cycle(comb):
+            return []
+        import networkx as nx
+
         loops: list[tuple[str, ...]] = []
-        for cycle in nx.simple_cycles(comb):
+        for cycle in nx.simple_cycles(nx.DiGraph(comb)):
             names = [str(node) for node in cycle]
             pivot = names.index(min(names))
             loops.append(tuple(names[pivot:] + names[:pivot]))
@@ -197,7 +239,7 @@ class Netlist:
                 tel.counters.inc("netlist.timing_arcs_truncated")
             return arcs
 
-        for start in self._g.nodes:
+        for start in self._blocks:
             # Internal path of the launching block itself.
             arcs.append(TimingArc(blocks=(start,), net_widths=()))
             if len(arcs) >= max_arcs:
@@ -210,8 +252,7 @@ class Netlist:
                 # A registered tail (other than the start) ends the path.
                 if len(chain) > 1 and tail_block.registered_output:
                     continue
-                for _, dst, data in self._g.out_edges(tail, data=True):
-                    net: Net = data["net"]
+                for dst, net in self._succ[tail].items():
                     if not net.combinational:
                         continue
                     if dst in chain:
@@ -235,7 +276,7 @@ class Netlist:
         they produce the same block and net structure — exactly the case
         where the incremental flow can reuse a placement checkpoint.
         """
-        node_sig = sorted(self._g.nodes)
+        node_sig = sorted(self._blocks)
         edge_sig = sorted(
             (n.src, n.dst, n.combinational) for n in self.nets()
         )

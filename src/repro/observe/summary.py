@@ -198,6 +198,20 @@ def _render(
             ("Span", "Count", "Wall s", "Simulated"), rows, title="Spans"
         ))
 
+    memo_hits = int(counters.get("hdl.parse_memo_hits", 0))
+    memo_lookups = memo_hits + int(counters.get("hdl.parse_memo_misses", 0))
+    if memo_lookups or "cache.run_hit" in counters:
+        rows = [
+            ("flow.run_cache", int(counters.get("cache.run_hit", 0)), "-", "-"),
+            (
+                "hdl.parse_memo", memo_hits, memo_lookups,
+                f"{100.0 * memo_hits / memo_lookups:.1f}%" if memo_lookups else "-",
+            ),
+        ]
+        sections.append(render_table(
+            ("Cache", "Hits", "Lookups", "Hit ratio"), rows, title="Caches"
+        ))
+
     other = {
         n: v for n, v in counters.items() if not n.startswith("decision.")
     }

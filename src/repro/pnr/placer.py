@@ -10,11 +10,20 @@ seed) — the property result caching relies on.
 
 Capacity legality (resource overflow, including the pin-overflow case the
 boxing step exists to avoid) is checked here, where Vivado reports it.
+
+Each annealing move evaluates the cost terms touching one block twice.
+Netlists have only a handful of blocks, so those delta costs run as
+scalar Python over precomputed per-block rows: numpy's per-call overhead
+would dominate arrays this small.  The scalar terms are summed by
+:func:`pairwise_sum`, which adds in exactly the order numpy's float64
+``sum`` does, so every placement is bit-identical to the array
+formulation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +32,12 @@ from repro.errors import PlacementError, UtilizationOverflowError
 from repro.synth.mapper import MappedDesign
 from repro.util.rng import as_generator
 
-__all__ = ["Placement", "place"]
+__all__ = ["Placement", "pairwise_sum", "place"]
+
+# numpy's pairwise summation: below this many terms it adds sequentially,
+# up to the block size it runs eight lane accumulators, above it it halves.
+_UNROLL = 8
+_BLOCKSIZE = 128
 
 # Kinds whose capacity placement enforces.
 _CHECKED_KINDS = (
@@ -69,6 +83,44 @@ def _check_capacity(design: MappedDesign) -> None:
 
 def _net_weight(width: int) -> float:
     return 1.0 + np.log2(width) / 4.0 if width > 1 else 1.0
+
+
+def pairwise_sum(terms: Sequence[float]) -> float:
+    """Sum ``terms`` bit-identically to ``float(np.asarray(terms).sum())``.
+
+    Reproduces numpy's float64 pairwise summation order: fewer than eight
+    terms add in sequence; up to 128 terms run eight lane accumulators
+    combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` before the tail
+    is added; longer inputs split into halves (rounded down to a multiple
+    of eight) summed recursively.
+    """
+    n = len(terms)
+    if n < _UNROLL:
+        total = 0.0
+        for term in terms:
+            total += term
+        return total
+    if n <= _BLOCKSIZE:
+        r0, r1, r2, r3, r4, r5, r6, r7 = terms[:_UNROLL]
+        body = n - n % _UNROLL
+        for k in range(_UNROLL, body, _UNROLL):
+            r0 += terms[k]
+            r1 += terms[k + 1]
+            r2 += terms[k + 2]
+            r3 += terms[k + 3]
+            r4 += terms[k + 4]
+            r5 += terms[k + 5]
+            r6 += terms[k + 6]
+            r7 += terms[k + 7]
+        # numpy seeds the reduction with +0.0, which only matters when
+        # every lane holds -0.0.
+        total = 0.0 + (((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
+        for k in range(body, n):
+            total += terms[k]
+        return total
+    half = n // 2
+    half -= half % _UNROLL
+    return pairwise_sum(terms[:half]) + pairwise_sum(terms[half:])
 
 
 def place(
@@ -125,13 +177,15 @@ def place(
         src = dst = np.zeros(0, dtype=int)
         weights = np.zeros(0)
 
-    # Incident-net index lists for delta-cost evaluation.
-    incident: list[np.ndarray] = []
-    for i in range(n):
-        mask = (src == i) | (dst == i)
-        incident.append(np.nonzero(mask)[0])
-
     min_sep = (sides[:, None] + sides[None, :]) / 2.0
+
+    # Scalar rows for delta-cost evaluation: each block's incident nets as
+    # (src, dst, weight) in net order, and its min-separation row.
+    net_rows = list(zip(src.tolist(), dst.tolist(), weights.tolist()))
+    incident = [
+        [row for row in net_rows if row[0] == i or row[1] == i] for i in range(n)
+    ]
+    sep_rows = min_sep.tolist()
 
     def wirelength(positions: np.ndarray) -> float:
         if src.size == 0:
@@ -153,51 +207,60 @@ def place(
     def cost(positions: np.ndarray) -> float:
         return wirelength(positions) + 2.5 * overlap_penalty(positions)
 
+    xs: list[float] = xy[:, 0].tolist()
+    ys: list[float] = xy[:, 1].tolist()
+
     def local_cost(i: int) -> float:
-        """Cost terms involving block ``i`` only (for delta evaluation)."""
-        total = 0.0
-        idx = incident[i]
-        if idx.size:
-            d = np.abs(xy[src[idx]] - xy[dst[idx]]).sum(axis=1)
-            total += float((weights[idx] * d).sum())
+        """Cost terms involving block ``i`` only (for delta evaluation).
+
+        Each term list is summed in numpy's order (see
+        :func:`pairwise_sum`).  Overlap terms that are zero are left at
+        0.0 in their lane slot: adding ``+0.0`` to a non-negative partial
+        sum is exact, so only the nonzero slots matter.
+        """
+        total = pairwise_sum([
+            w * (abs(xs[a] - xs[b]) + abs(ys[a] - ys[b])) for a, b, w in incident[i]
+        ])
         if n > 1:
-            dx = np.abs(xy[:, 0] - xy[i, 0])
-            dy = np.abs(xy[:, 1] - xy[i, 1])
-            ox = np.maximum(0.0, min_sep[i] - dx)
-            oy = np.maximum(0.0, min_sep[i] - dy)
-            ov = ox * oy
-            ov[i] = 0.0
-            total += 2.5 * float(ov.sum())
+            xi, yi = xs[i], ys[i]
+            overlaps = [0.0] * n
+            for j, sep in enumerate(sep_rows[i]):
+                ox = sep - abs(xs[j] - xi)
+                if ox > 0.0 and j != i:
+                    oy = sep - abs(ys[j] - yi)
+                    if oy > 0.0:
+                        overlaps[j] = ox * oy
+            total += 2.5 * pairwise_sum(overlaps)
         return total
 
     warm = initial is not None
     schedule_scale = 0.35 if warm else 1.0
     iters = max(40, int(effort * schedule_scale * 60 * n))
-    current_cost = cost(xy)
-    temperature = max(1.0, current_cost / max(1, n)) * (0.25 if warm else 1.0)
+    initial_cost = cost(xy)
+    temperature = max(1.0, initial_cost / max(1, n)) * (0.25 if warm else 1.0)
     cooling = 0.985 if iters > 200 else 0.97
     radius = (max(cols, rows) / 4.0) * (0.3 if warm else 1.0)
+    x_max, y_max = cols - 1.0, rows - 1.0
 
     # Pre-draw random streams for the whole schedule (cheaper than per-step).
-    block_picks = rng.integers(0, n, size=iters)
-    jitters = rng.normal(0.0, 1.0, size=(iters, 2))
-    accepts = rng.random(size=iters)
+    block_picks = rng.integers(0, n, size=iters).tolist()
+    jitters = rng.normal(0.0, 1.0, size=(iters, 2)).tolist()
+    accepts = rng.random(size=iters).tolist()
 
-    for step in range(iters):
-        i = int(block_picks[step])
-        old = xy[i].copy()
+    for i, (jx, jy), accept in zip(block_picks, jitters, accepts):
+        old_x, old_y = xs[i], ys[i]
         before = local_cost(i)
         sigma = max(0.8, radius)
-        xy[i, 0] = float(np.clip(old[0] + jitters[step, 0] * sigma, 1.0, cols - 1.0))
-        xy[i, 1] = float(np.clip(old[1] + jitters[step, 1] * sigma, 1.0, rows - 1.0))
+        xs[i] = min(max(old_x + jx * sigma, 1.0), x_max)
+        ys[i] = min(max(old_y + jy * sigma, 1.0), y_max)
         delta = local_cost(i) - before
-        if delta <= 0 or accepts[step] < np.exp(-delta / max(temperature, 1e-9)):
-            current_cost += delta
-        else:
-            xy[i] = old
+        if not (delta <= 0 or accept < np.exp(-delta / max(temperature, 1e-9))):
+            xs[i], ys[i] = old_x, old_y
         temperature *= cooling
         radius = max(1.0, radius * cooling)
-    current_cost = cost(xy)  # re-synchronize against accumulated float drift
+    xy[:, 0] = xs
+    xy[:, 1] = ys
+    current_cost = cost(xy)
 
     coords = {name: (float(xy[i, 0]), float(xy[i, 1])) for name, i in index.items()}
     return Placement(
