@@ -14,6 +14,8 @@ full run identity:
   tool-session configuration;
 - the requested metric set — the stored payload is the extracted metric
   vector, which depends on which metrics were requested;
+- an explicit box clock port, only when one was given (so identities of
+  evaluators that detect their clock are unchanged);
 - the parameter binding (per-point component of the key).
 
 Keys are hex SHA-256 digests over a canonical JSON form, so they are
@@ -58,10 +60,11 @@ def run_identity(
     metrics: tuple[tuple[str, str], ...],
     boxed: bool = True,
     language: str = "",
+    clock_port: str | None = None,
     flow_version: str = FLOW_VERSION,
 ) -> dict[str, Any]:
     """The per-evaluator identity every point key is derived from."""
-    return {
+    identity: dict[str, Any] = {
         "flow_version": flow_version,
         "language": str(language),
         "source": source_digest(source),
@@ -75,6 +78,9 @@ def run_identity(
         "metrics": [[name, sense] for name, sense in metrics],
         "boxed": bool(boxed),
     }
+    if clock_port is not None:
+        identity["clock_port"] = str(clock_port)
+    return identity
 
 
 def _canonical(payload: object) -> str:

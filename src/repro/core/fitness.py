@@ -21,19 +21,16 @@ from pathlib import Path
 import numpy as np
 
 from repro.analysis.gate import PreflightGate
-from repro.cache import (
-    FULL_RANK,
-    KIND_FAILURE,
-    KIND_POINT,
-    ResultStore,
-    decode_point,
-    encode_failure,
-    encode_point,
-    fidelity_rank,
-    point_key,
-    run_identity,
-)
+from repro.cache import FULL_RANK, ResultStore, fidelity_rank
 from repro.core.evaluate import PointEvaluator
+from repro.core.pipeline import (
+    Answer,
+    EvaluationFailure,
+    EvaluatorSpec,
+    PointStore,
+    replay,
+    run_tool,
+)
 from repro.core.point import EvaluatedPoint
 from repro.core.spaces import ParameterSpace
 from repro.errors import ReproError
@@ -94,7 +91,8 @@ class ApproximateFitness:
             # server's shared stores are sharded); the MANIFEST decides.
             result_store = open_store(result_store)
         self.result_store = result_store
-        self._store_identity_cache: dict | None = None
+        self.spec = EvaluatorSpec.from_evaluator(evaluator, design_name=design_name)
+        self._store = PointStore(result_store, self.spec)
         self.min_points_to_estimate = min_points_to_estimate
         self.refit_policy = refit_policy or RefitPolicy()
         self.control = ControlModel(
@@ -192,7 +190,7 @@ class ApproximateFitness:
                     "external batch evaluator is incompatible with the "
                     "fidelity gate (gated sessions are sequential)"
                 )
-            if getattr(self.evaluator, "incremental", False):
+            if self.spec.incremental:
                 raise ValueError(
                     "external batch evaluator is incompatible with "
                     "incremental flows (results are order-dependent)"
@@ -223,7 +221,7 @@ class ApproximateFitness:
         # it also pins evaluation to the serial path.
         if self.fidelity_gate_enabled:
             return False
-        if getattr(self.evaluator, "incremental", False):
+        if self.spec.incremental:
             return False
         return self._external_parallel or self.workers > 1
 
@@ -238,89 +236,17 @@ class ApproximateFitness:
 
     def _parallel_evaluator(self):
         if self._parallel is None:
-            from repro.core.parallel import EvaluatorSpec, ParallelPointEvaluator
+            from repro.core.parallel import ParallelPointEvaluator
 
+            # The pool parent gates with this fitness's own gate (space-
+            # aware, netlist stage, clock port), exactly as the serial path.
             self._parallel = ParallelPointEvaluator(
-                spec=EvaluatorSpec.from_evaluator(
-                    self.evaluator, design_name=self.design_name
-                ),
+                spec=self.spec,
                 workers=self.workers,
                 store=self.result_store,
+                gate=self.gate,
             )
         return self._parallel
-
-    # ------------------------------------------------------------------
-    # Persistent result store (serial path; the batch path goes through
-    # ParallelPointEvaluator, which owns the same consult/append logic)
-
-    def _store_identity(self) -> dict | None:
-        """Store namespace of the serial evaluator (None = store off).
-
-        Must be byte-identical to the identity
-        :class:`~repro.core.parallel.ParallelPointEvaluator` derives from
-        its spec, so serial and fanned-out runs share store entries.
-        Incremental flows are order-dependent and never use the store.
-        """
-        if self.result_store is None or getattr(self.evaluator, "incremental", False):
-            return None
-        if self._store_identity_cache is None:
-            ev = self.evaluator
-            self._store_identity_cache = run_identity(
-                source=ev.source_text,
-                language=str(ev.language),
-                top=ev.module.name,
-                part=ev.part,
-                step=str(ev.step),
-                synth_directive=str(ev.directives.synth),
-                impl_directive=str(ev.directives.impl),
-                target_period_ns=ev.target_period_ns,
-                seed=ev.seed,
-                metrics=tuple(
-                    (s.canonical_name(), str(s.sense)) for s in ev.metrics
-                ),
-                boxed=ev.boxed,
-            )
-        return self._store_identity_cache
-
-    def _store_lookup(
-        self, params: dict[str, int]
-    ) -> tuple[str | None, "object | None"]:
-        """(point key, stored record) — either may be None."""
-        identity = self._store_identity()
-        if identity is None:
-            return None, None
-        key = point_key(identity, params)
-        return key, self.result_store.get(key)
-
-    def _store_append(
-        self,
-        key: str | None,
-        point: EvaluatedPoint | None = None,
-        error_type: str | None = None,
-        message: str = "",
-        charge_s: float = 0.0,
-        rank: int = FULL_RANK,
-    ) -> None:
-        if key is None or self.result_store is None:
-            return
-        stored = False
-        if point is not None:
-            stored = self.result_store.put(
-                key, KIND_POINT, encode_point(point), rank=rank
-            )
-        elif error_type is not None and error_type != "DrcViolationError":
-            # DRC rejections are recomputed locally at zero cost and are
-            # rule-dependent, not flow-dependent — never persisted.
-            stored = self.result_store.put(
-                key,
-                KIND_FAILURE,
-                encode_failure(error_type, message, charge_s),
-                rank=rank,
-            )
-        if stored:
-            tel = current_telemetry()
-            if tel is not None:
-                tel.counters.inc("cache.store_put")
 
     # ------------------------------------------------------------------
 
@@ -439,6 +365,20 @@ class ApproximateFitness:
                 )
         return y
 
+    def _account(
+        self,
+        encoded: np.ndarray,
+        params: dict[str, int],
+        result: Answer,
+        record: bool,
+    ) -> np.ndarray:
+        """Bookkeeping for an answer whose ledger row is already written."""
+        if isinstance(result, EvaluationFailure):
+            return self._note_failure(
+                params, result.original_type, charge_s=result.simulated_seconds
+            )
+        return self._note_point(encoded, result, record)
+
     def _run_tool(self, encoded: np.ndarray, record: bool) -> np.ndarray:
         # Dataset inserts (``record=True``: pretrain, control-model
         # evaluations) always run the full flow — the NWM must train on
@@ -462,59 +402,13 @@ class ApproximateFitness:
         # configuration — adopt it as a cache-priced answer.  Low-fidelity
         # probe records (written by a gated session) are *not* adopted
         # here: the full flow must answer, and its record supersedes them.
-        key, stored = self._store_lookup(params)
-        if stored is not None and stored.rank >= FULL_RANK:
-            return self._adopt_stored(encoded, params, stored, record)
-        try:
-            point = self.evaluator.evaluate(params)
-        except ReproError as exc:
-            # The evaluator already wrote this point's ledger record; pass
-            # along the partial tool cost the failed run charged.
-            charge = self.evaluator.last_failure_seconds
-            self._store_append(
-                key,
-                error_type=type(exc).__name__,
-                message=str(exc),
-                charge_s=charge,
-            )
-            return self._note_failure(params, type(exc).__name__, charge_s=charge)
-        self._store_append(key, point=point)
-        return self._note_point(encoded, point, record)
-
-    def _adopt_stored(
-        self, encoded: np.ndarray, params: dict[str, int], record_obj, record: bool
-    ) -> np.ndarray:
-        """Account a persistent-store hit on the serial path."""
-        tel = current_telemetry()
-        if tel is not None:
-            tel.counters.inc("cache.store_hit")
-        if record_obj.kind == KIND_FAILURE:
-            payload = record_obj.payload
-            error_type = str(payload.get("original_type", "ReproError"))
-            if tel is not None:
-                tel.ledger.append(
-                    params=params,
-                    outcome="failed",
-                    charge=0.0,
-                    error_type=error_type,
-                    origin="store",
-                )
-            return self._note_failure(params, error_type, charge_s=0.0)
-        point = dataclasses.replace(
-            decode_point(record_obj.payload),
-            parameters=dict(params),
-            source="cache",
-            simulated_seconds=0.0,
-        )
-        if tel is not None:
-            tel.ledger.append(
-                params=params,
-                outcome="cache",
-                metrics=point.metrics,
-                charge=0.0,
-                origin="store",
-            )
-        return self._note_point(encoded, point, record)
+        stored = self._store.lookup(params)
+        if stored is not None:
+            result = self._store.adopt(params, stored)
+        else:
+            result = run_tool(self.evaluator, params)
+            self._store.put(params, result)
+        return self._account(encoded, params, result, record)
 
     # ------------------------------------------------------------------
     # Speculative fidelity gate
@@ -573,127 +467,66 @@ class ApproximateFitness:
         assert gate is not None
         params = self.space.decode(encoded)
         frozen = self._frozen(params)
-        tel = current_telemetry()
         memo = self._gate_memo.get(frozen)
         if memo is not None:
             # The gated path already answered this binding this session —
             # replay it cache-priced, like the tool's own run cache would.
             metrics = dict(zip(self.evaluator.metric_names(), map(float, memo)))
-            point = EvaluatedPoint(
-                parameters=dict(params),
-                metrics=metrics,
-                source="cache",
-                simulated_seconds=0.0,
+            point = EvaluatedPoint(parameters=dict(params), metrics=metrics)
+            return self._note_point(
+                encoded, replay(params, point, "gate"), record=False
             )
-            if tel is not None:
-                tel.ledger.append(
-                    params=params, outcome="cache", metrics=metrics,
-                    charge=0.0, origin="gate",
-                )
-            return self._note_point(encoded, point, record=False)
         if not self.gate.is_feasible(params):
             return self._note_failure(params, "DrcViolationError", record_ledger=True)
-        key, stored = self._store_lookup(params)
-        if stored is not None and stored.rank >= FULL_RANK:
-            y = np.asarray(
-                self._adopt_stored(encoded, params, stored, record=False), dtype=float
-            )
+        stored = self._store.lookup(params, min_rank=None)
+        if stored is not None:
+            probe = self._store.adopt(params, stored)
+            probe_cost = 0.0
+        else:
+            probe = run_tool(self.evaluator, params, fidelity=self.gate_fidelity)
+            probe_cost = probe.simulated_seconds
+            if isinstance(probe, EvaluationFailure):
+                self._store.put(
+                    params, probe, rank=fidelity_rank(str(self.gate_fidelity))
+                )
+        # A stored full-route answer is final.  A failed probe — fresh, or
+        # stored by a previous session — makes the point infeasible:
+        # fidelity verdicts for this binding are probe-level only.  A
+        # stored probe point is reused as the (free) low-fidelity signal.
+        if isinstance(probe, EvaluationFailure) or (
+            stored is not None and stored.rank >= FULL_RANK
+        ):
+            y = self._account(encoded, params, probe, record=False)
             self._gate_memo[frozen] = y.copy()
             return y
-        probe_point: EvaluatedPoint | None = None
-        probe_cost = 0.0
-        if stored is not None and stored.kind == KIND_POINT:
-            # A previous gated session stored this binding's probe: reuse
-            # it as the (free) low-fidelity signal, then decide as usual.
-            probe_point = dataclasses.replace(
-                decode_point(stored.payload),
-                parameters=dict(params),
-                source="cache",
-                simulated_seconds=0.0,
-            )
-            if tel is not None:
-                tel.counters.inc("cache.store_hit")
-                tel.ledger.append(
-                    params=params, outcome="cache", metrics=probe_point.metrics,
-                    charge=0.0, origin="store", fidelity=probe_point.fidelity,
-                )
-        elif stored is not None:
-            # A stored low-rank failure: the probe already failed for a
-            # previous session; fidelity verdicts for this binding are
-            # probe-level only, so keep treating it as infeasible.
-            error_type = str(stored.payload.get("original_type", "ReproError"))
-            if tel is not None:
-                tel.counters.inc("cache.store_hit")
-                tel.ledger.append(
-                    params=params, outcome="failed", charge=0.0,
-                    error_type=error_type, origin="store",
-                )
-            y = np.asarray(
-                self._note_failure(params, error_type, charge_s=0.0), dtype=float
-            )
-            self._gate_memo[frozen] = y.copy()
-            return y
-        if probe_point is None:
-            try:
-                probe_point = self.evaluator.evaluate(
-                    params, fidelity=self.gate_fidelity
-                )
-            except ReproError as exc:
-                charge = self.evaluator.last_failure_seconds
-                self._store_append(
-                    key,
-                    error_type=type(exc).__name__,
-                    message=str(exc),
-                    charge_s=charge,
-                    rank=fidelity_rank(str(self.gate_fidelity)),
-                )
-                y = np.asarray(
-                    self._note_failure(
-                        params, type(exc).__name__, charge_s=charge
-                    ),
-                    dtype=float,
-                )
-                self._gate_memo[frozen] = y.copy()
-                return y
-            probe_cost = probe_point.simulated_seconds
         signs = gate.signs
-        y_low = self._metric_vector(probe_point)
+        y_low = self._metric_vector(probe)
         x = np.asarray(encoded, dtype=float)
         low_min = signs * y_low
         priors = self._static_priors(params)
         decision = gate.assess(x, low_min, priors)
         if decision.promote:
-            try:
-                full_point = self.evaluator.evaluate(params)
-            except ReproError as exc:
+            full = run_tool(self.evaluator, params)
+            self._store.put(params, full)
+            if isinstance(full, EvaluationFailure):
                 # The probe passed but the full flow failed (fidelities
                 # draw independent QoR noise, so borderline capacity can
                 # differ) — the point is infeasible and charges both runs.
-                charge = self.evaluator.last_failure_seconds
-                self._store_append(
-                    key,
-                    error_type=type(exc).__name__,
-                    message=str(exc),
-                    charge_s=charge,
-                )
-                y = np.asarray(
-                    self._note_failure(
-                        params, type(exc).__name__, charge_s=probe_cost + charge
-                    ),
-                    dtype=float,
+                y = self._note_failure(
+                    params,
+                    full.original_type,
+                    charge_s=probe_cost + full.simulated_seconds,
                 )
                 self._gate_memo[frozen] = y.copy()
                 return y
-            y_full = self._metric_vector(full_point)
+            y_full = self._metric_vector(full)
             gate.observe(x, low_min, signs * y_full, priors)
-            self._store_append(key, point=full_point)
             self._gate_memo[frozen] = y_full.copy()
             # One history entry per design point; its cost is the probe
             # plus the full run (the full run reuses the probe's cached
             # synthesis stage, so the sum equals the ungated full cost).
             combined = dataclasses.replace(
-                full_point,
-                simulated_seconds=probe_cost + full_point.simulated_seconds,
+                full, simulated_seconds=probe_cost + full.simulated_seconds
             )
             return self._note_point(encoded, combined, record=False)
         # Skip: answer with the gate's predicted full-route metrics and
@@ -707,11 +540,9 @@ class ApproximateFitness:
             metrics=metrics,
             source="speculative",
             simulated_seconds=probe_cost,
-            fidelity=str(probe_point.fidelity),
+            fidelity=str(probe.fidelity),
         )
-        self._store_append(
-            key, point=probe_point, rank=fidelity_rank(probe_point.fidelity)
-        )
+        self._store.put(params, probe, rank=fidelity_rank(probe.fidelity))
         self._speculative[frozen] = (x.copy(), low_min.copy())
         self._gate_memo[frozen] = y_pred.copy()
         return self._note_point(encoded, spec_point, record=False)
@@ -744,7 +575,6 @@ class ApproximateFitness:
         rows = np.atleast_2d(np.asarray(X))
         signs = gate.signs
         tel = current_telemetry()
-        identity = self._store_identity()
         promoted = 0
         while True:
             mask = non_dominated_mask(archive.F)
@@ -758,32 +588,24 @@ class ApproximateFitness:
                 if spec is None:
                     continue
                 x, low_min = spec
-                key = point_key(identity, params) if identity is not None else None
                 if tel is not None:
                     tel.counters.inc("decision.fidelity_promote")
-                try:
-                    full_point = self.evaluator.evaluate(params)
-                except ReproError as exc:
-                    charge = self.evaluator.last_failure_seconds
-                    self._store_append(
-                        key,
-                        error_type=type(exc).__name__,
-                        message=str(exc),
-                        charge_s=charge,
+                full = run_tool(self.evaluator, params)
+                self._store.put(params, full)
+                del self._speculative[frozen]
+                if isinstance(full, EvaluationFailure):
+                    self._note_failure(
+                        params, full.original_type, charge_s=full.simulated_seconds
                     )
-                    self._note_failure(params, type(exc).__name__, charge_s=charge)
                     penalty = self._penalty_vector()
                     fixes[frozen] = signs * penalty
                     self._gate_memo[frozen] = penalty.copy()
-                    del self._speculative[frozen]
                     continue
-                y_full = self._metric_vector(full_point)
+                y_full = self._metric_vector(full)
                 gate.observe(x, low_min, signs * y_full, self._static_priors(params))
-                self._store_append(key, point=full_point)
-                self._note_point(rows[i], full_point, record=False)
+                self._note_point(rows[i], full, record=False)
                 fixes[frozen] = signs * y_full
                 self._gate_memo[frozen] = y_full.copy()
-                del self._speculative[frozen]
                 promoted += 1
             if not fixes:
                 return promoted
@@ -968,22 +790,15 @@ class PendingEncodedBatch:
 
     def collect(self) -> np.ndarray:
         """Block until resolved; account and return the metric matrix."""
-        from repro.core.parallel import EvaluationFailure
-
         fitness = self._fitness
         outs = self._batch.results(on_error="return")
         result = np.empty((len(self._rows), len(fitness.evaluator.metric_names())))
         for i, (row, params, res) in enumerate(
             zip(self._rows, self._params_list, outs)
         ):
-            if isinstance(res, EvaluationFailure):
-                # The parallel evaluator (worker, store, or memo) already
-                # wrote the ledger record and ships the failed run's cost.
-                result[i] = fitness._note_failure(
-                    params, res.original_type, charge_s=res.simulated_seconds
-                )
-            else:
-                result[i] = fitness._note_point(row, res, self._record)
+            # The batch layer (worker, store, or memo) already wrote the
+            # ledger record and ships a failed run's cost.
+            result[i] = fitness._account(row, params, res, self._record)
         return result
 
 

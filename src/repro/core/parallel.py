@@ -35,11 +35,14 @@ submission order by the batch that dispatched them, and
 :meth:`PendingBatch.results` returns points in request order — the
 schedule is invisible in every output.
 
-When a persistent :class:`~repro.cache.ResultStore` is attached, the
-parent consults it before dispatching a fresh configuration (a hit is
-adopted as a cache-priced answer, ledger ``origin="store"``) and appends
-every tool-produced result/failure after completion, so later *processes*
-— not just later batches — replay instead of re-running the tool.
+Before dispatch the parent runs each fresh configuration through the
+DRC gate and, when a persistent :class:`~repro.cache.ResultStore` is
+attached, the store (a hit is adopted as a cache-priced answer, ledger
+``origin="store"``); every tool-produced result/failure is appended
+after completion, so later *processes* — not just later batches —
+replay instead of re-running the tool.  The steps themselves live in
+:mod:`repro.core.pipeline`, shared with the serial fitness path and the
+serve fleet.
 
 Workers are initialized once with a picklable :class:`EvaluatorSpec` and
 rebuild their own evaluator; built-in case-study designs are re-registered
@@ -49,33 +52,24 @@ start methods too.
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 import os
-import time
 from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from repro.analysis.gate import PreflightGate
-from repro.cache import (
-    FULL_RANK,
-    KIND_FAILURE,
-    KIND_POINT,
-    ResultStore,
-    decode_point,
-    encode_failure,
-    encode_point,
-    point_key,
-    run_identity,
-)
+from repro.analysis.gate import PreflightGate, freeze_params
+from repro.cache import ResultStore
 from repro.core.evaluate import PointEvaluator
-from repro.core.metrics import MetricSpec
-from repro.core.point import EvaluatedPoint
-from repro.directives import DirectiveSet
-from repro.errors import ReproError
-from repro.flow.vivado_sim import FlowStep
-from repro.moo.problem import Sense
+from repro.core.pipeline import (
+    Answer,
+    EvaluationFailure,
+    EvaluatorSpec,
+    PointStore,
+    RemoteEvaluationError,
+    replay,
+    run_tool,
+)
 from repro.observe import current_telemetry, enable_telemetry
 
 __all__ = [
@@ -85,103 +79,6 @@ __all__ = [
     "PendingBatch",
     "RemoteEvaluationError",
 ]
-
-
-class RemoteEvaluationError(ReproError):
-    """A worker-side evaluation failed (carries the original error name)."""
-
-    def __init__(self, original_type: str, message: str) -> None:
-        super().__init__(f"{original_type}: {message}")
-        self.original_type = original_type
-
-
-@dataclass(frozen=True)
-class EvaluationFailure:
-    """Picklable record of a worker-side :class:`ReproError`.
-
-    Tool exceptions carry constructor signatures that do not survive
-    pickling, so workers ship this marker instead; callers that need the
-    serial behaviour re-raise via :meth:`to_error`.
-
-    ``simulated_seconds`` is the partial tool time the failed run charged
-    before raising (0 for DRC rejections and for memo replays) — the cost
-    accounting layer charges it against the DSE soft deadline.
-    """
-
-    original_type: str
-    message: str
-    simulated_seconds: float = 0.0
-
-    def to_error(self) -> RemoteEvaluationError:
-        return RemoteEvaluationError(self.original_type, self.message)
-
-
-@dataclass(frozen=True)
-class EvaluatorSpec:
-    """Everything a worker needs to rebuild the evaluator (all picklable)."""
-
-    source: str
-    language: str
-    top: str
-    part: str = "XC7K70T"
-    target_period_ns: float = 1.0
-    step: str = "implementation"
-    synth_directive: str = "Default"
-    impl_directive: str = "Default"
-    metrics: tuple[tuple[str, str], ...] = (("LUT", "min"), ("frequency", "max"))
-    boxed: bool = True
-    seed: int = 0
-    design_name: str | None = None  # built-in design to re-register in workers
-    incremental: bool = False
-    #: Real wall-clock seconds slept per *simulated* tool second in pool
-    #: workers, emulating the latency of a real tool invocation (cache and
-    #: memo answers stay instant, as they are in the real flow).  0 (the
-    #: default) disables it.  Scheduling benchmarks use this to measure
-    #: schedule quality where tool runs wait on an external process.
-    emulate_tool_latency: float = 0.0
-
-    @classmethod
-    def from_evaluator(
-        cls, evaluator: PointEvaluator, design_name: str | None = None
-    ) -> "EvaluatorSpec":
-        return cls(
-            source=evaluator.source_text,
-            language=str(evaluator.language),
-            top=evaluator.module.name,
-            part=evaluator.part,
-            target_period_ns=evaluator.target_period_ns,
-            step=str(evaluator.step),
-            synth_directive=str(evaluator.directives.synth),
-            impl_directive=str(evaluator.directives.impl),
-            metrics=tuple(
-                (s.canonical_name(), str(s.sense)) for s in evaluator.metrics
-            ),
-            boxed=evaluator.boxed,
-            seed=evaluator.seed,
-            design_name=design_name,
-            incremental=getattr(evaluator, "incremental", False),
-        )
-
-    def build(self) -> PointEvaluator:
-        if self.design_name:
-            from repro.designs import get_design
-
-            get_design(self.design_name)  # side effect: registers models
-        return PointEvaluator(
-            source=self.source,
-            language=self.language,
-            top=self.top,
-            part=self.part,
-            target_period_ns=self.target_period_ns,
-            step=FlowStep(self.step),
-            directives=DirectiveSet.parse(self.synth_directive, self.impl_directive),
-            metrics=[
-                MetricSpec(name, Sense(sense)) for name, sense in self.metrics
-            ],
-            boxed=self.boxed,
-            seed=self.seed,
-            incremental=self.incremental,
-        )
 
 
 # Per-worker evaluator (module globals: one build per worker process).
@@ -201,46 +98,18 @@ def _init_worker(spec: EvaluatorSpec, telemetry_enabled: bool = False) -> None:
     _WORKER_LATENCY = max(0.0, float(spec.emulate_tool_latency))
 
 
-def _evaluate_one(params: dict[str, int]) -> EvaluatedPoint:
+def _evaluate_one_safe(params: dict[str, int]) -> tuple[Answer, dict | None]:
     assert _WORKER is not None, "worker not initialized"
-    return _WORKER.evaluate(params)
-
-
-def _evaluate_one_safe(
-    params: dict[str, int],
-) -> tuple[EvaluatedPoint | EvaluationFailure, dict | None]:
-    try:
-        result: EvaluatedPoint | EvaluationFailure = _evaluate_one(params)
-    except ReproError as exc:
-        assert _WORKER is not None
-        result = EvaluationFailure(
-            type(exc).__name__,
-            str(exc),
-            simulated_seconds=_WORKER.last_failure_seconds,
-        )
-    if _WORKER_LATENCY > 0.0 and result.simulated_seconds > 0.0:
-        # Emulated tool latency: a fresh run waits like a real tool
-        # invocation would; cache answers (0 simulated seconds) stay
-        # instant.  The sleep blocks only this worker process, so the
-        # schedule — not the host's core count — sets the wall clock.
-        time.sleep(result.simulated_seconds * _WORKER_LATENCY)
+    # The sleep blocks only this worker process, so the schedule — not
+    # the host's core count — sets the wall clock.
+    result = run_tool(_WORKER, params, latency=_WORKER_LATENCY)
     tel = current_telemetry()
-    delta = tel.drain_delta() if tel is not None else None
-    return result, delta
+    return result, tel.drain_delta() if tel is not None else None
 
 
 def _worker_probe(_: int) -> tuple[int, int]:
     """Debug task: (pid, initializer-call count) for the executing worker."""
     return os.getpid(), _INIT_CALLS
-
-
-def _freeze(params: Mapping[str, int]) -> tuple[tuple[str, int], ...]:
-    return tuple(sorted((k.lower(), int(v)) for k, v in params.items()))
-
-
-def _as_cache_hit(point: EvaluatedPoint) -> EvaluatedPoint:
-    """A repeat of a memoized point, priced as the tool's cache answer."""
-    return dataclasses.replace(point, source="cache", simulated_seconds=0.0)
 
 
 @dataclass
@@ -272,9 +141,7 @@ class PendingBatch:
             key not in inflight or inflight[key].done() for key in self._keys
         )
 
-    def results(
-        self, on_error: str = "raise"
-    ) -> list[EvaluatedPoint | EvaluationFailure]:
+    def results(self, on_error: str = "raise") -> list[Answer]:
         """Block until the batch is resolved; return results in request order.
 
         ``on_error="raise"`` re-raises the first failed point's error (as
@@ -296,23 +163,15 @@ class PendingBatch:
                 tel.ledger.extend_from(records, origin="worker")
         self._collected = True
 
-        results: list[EvaluatedPoint | EvaluationFailure] = []
+        results: list[Answer] = []
         for i, key in enumerate(self._keys):
-            stored = ev.memo[key]
-            replay = self._first_occurrence.get(key) != i
-            if replay:
+            result = ev.memo[key]
+            if self._first_occurrence.get(key) != i:
                 ev.memo_hits += 1
-                if tel is not None:
-                    ev._record_replay(tel, self._points[i], stored)
-            if isinstance(stored, EvaluationFailure):
-                if replay:
-                    # A replayed failure spends no new tool time.
-                    stored = dataclasses.replace(stored, simulated_seconds=0.0)
-                if on_error == "raise":
-                    raise stored.to_error()
-                results.append(stored)
-            else:
-                results.append(_as_cache_hit(stored) if replay else stored)
+                result = replay(self._points[i], result, "memo")
+            if isinstance(result, EvaluationFailure) and on_error == "raise":
+                raise result.to_error()
+            results.append(result)
         return results
 
 
@@ -330,7 +189,10 @@ class ParallelPointEvaluator:
     result as a cache-priced answer.  ``store`` optionally plugs in the
     persistent cross-process result store, consulted before dispatch and
     appended after every tool run (disabled for incremental specs, whose
-    results are order-dependent).  ``dispatched``/``memo_hits``/
+    results are order-dependent).  ``gate`` is the DRC pre-flight gate
+    consulted before dispatch; a fitness hands over its own (space-aware,
+    optionally netlist-staged) gate, and without one a gate is built
+    from the spec on first use.  ``dispatched``/``memo_hits``/
     ``store_hits`` count the split for perf reporting.
     """
 
@@ -338,18 +200,16 @@ class ParallelPointEvaluator:
     workers: int = 0
     start_method: str | None = None
     store: ResultStore | None = None
+    gate: PreflightGate | None = None
     _serial: PointEvaluator | None = field(default=None, init=False, repr=False)
     _pool: ProcessPoolExecutor | None = field(default=None, init=False, repr=False)
-    memo: dict[tuple, EvaluatedPoint | EvaluationFailure] = field(
-        default_factory=dict, init=False, repr=False
-    )
+    memo: dict[tuple, Answer] = field(default_factory=dict, init=False, repr=False)
     dispatched: int = field(default=0, init=False)
     memo_hits: int = field(default=0, init=False)
     drc_rejections: int = field(default=0, init=False)
     store_hits: int = field(default=0, init=False)
     store_puts: int = field(default=0, init=False)
-    _gate: PreflightGate | None = field(default=None, init=False, repr=False)
-    _identity: dict | None = field(default=None, init=False, repr=False)
+    _point_store: PointStore = field(init=False, repr=False)
     _inflight: dict[tuple, Future] = field(
         default_factory=dict, init=False, repr=False
     )
@@ -359,6 +219,9 @@ class ParallelPointEvaluator:
     _owned_records: dict[tuple, list] = field(
         default_factory=dict, init=False, repr=False
     )
+
+    def __post_init__(self) -> None:
+        self._point_store = PointStore(self.store, self.spec)
 
     # -- lifecycle ------------------------------------------------------
 
@@ -399,17 +262,11 @@ class ParallelPointEvaluator:
         except Exception:
             pass
 
-    # -- evaluation -----------------------------------------------------
+    # -- the shared resolution steps --------------------------------------
 
-    def gate(self) -> PreflightGate:
-        """The driver-side DRC pre-flight gate (built lazily from the spec).
-
-        Runs in the parent process so infeasible points are rejected before
-        they are shipped to a worker: the verdict is memoized here as an
-        :class:`EvaluationFailure` whose message is byte-identical to the
-        error the serial evaluator's own gate raises.
-        """
-        if self._gate is None:
+    def _preflight(self) -> PreflightGate:
+        """The DRC gate, built from the spec when none was handed over."""
+        if self.gate is None:
             from repro.hdl.ast import HdlLanguage
             from repro.hdl.frontend import parse_source
 
@@ -417,208 +274,93 @@ class ParallelPointEvaluator:
             matches = [m for m in modules if m.name.lower() == self.spec.top.lower()]
             if not matches:
                 raise LookupError(f"top {self.spec.top!r} not found in spec source")
-            self._gate = PreflightGate(matches[0], boxed=self.spec.boxed)
-        return self._gate
+            self.gate = PreflightGate(
+                matches[0], boxed=self.spec.boxed, clock_port=self.spec.clock_port
+            )
+        return self.gate
 
-    # -- result store ---------------------------------------------------
+    def _pre_dispatch(
+        self, key: tuple, params: dict[str, int]
+    ) -> tuple[Answer, str] | None:
+        """Memo → DRC gate → store: ``(answer, origin)``, or None to dispatch.
 
-    @staticmethod
-    def _count(name: str) -> None:
-        tel = current_telemetry()
-        if tel is not None:
-            tel.counters.inc(name)
-
-    def _store_identity(self) -> dict | None:
-        """The store namespace of this evaluator (None = store disabled).
-
-        Incremental flows warm-start from whatever ran earlier in the same
-        session, so their results are order-dependent and must never be
-        replayed across processes.
+        ``origin`` says who answered: ``"memo"`` (a zero-charge replay),
+        ``"drc"`` (a pre-flight rejection; the message is byte-identical
+        to the error the evaluator's own gate raises) or ``"store"`` (a
+        prior process's run adopted cache-priced).  Gate and store
+        answers are memoized, so repeats replay without re-checking.
         """
-        if self.store is None or self.spec.incremental:
-            return None
-        if self._identity is None:
-            self._identity = run_identity(
-                source=self.spec.source,
-                language=self.spec.language,
-                top=self.spec.top,
-                part=self.spec.part,
-                step=self.spec.step,
-                synth_directive=self.spec.synth_directive,
-                impl_directive=self.spec.impl_directive,
-                target_period_ns=self.spec.target_period_ns,
-                seed=self.spec.seed,
-                metrics=self.spec.metrics,
-                boxed=self.spec.boxed,
-            )
-        return self._identity
-
-    def _adopt_stored(self, key: tuple, params: dict[str, int], record) -> None:
-        """Fold a store hit into the memo as a cache-priced answer."""
-        self.store_hits += 1
-        self._count("cache.store_hit")
-        tel = current_telemetry()
-        if record.kind == KIND_FAILURE:
-            payload = record.payload
-            failure = EvaluationFailure(
-                str(payload.get("original_type", "ReproError")),
-                str(payload.get("message", "")),
-                simulated_seconds=0.0,
-            )
+        hit = self.memo.get(key)
+        if hit is not None:
+            self.memo_hits += 1
+            return replay(params, hit, "memo"), "memo"
+        violation = self._preflight().violation(params)
+        if violation is not None:
+            failure = EvaluationFailure(type(violation).__name__, str(violation))
             self.memo[key] = failure
+            self.drc_rejections += 1
+            # Pre-dispatch rejects never reach a tool, so this step owns
+            # their ledger record.
+            tel = current_telemetry()
             if tel is not None:
                 tel.ledger.append(
-                    params=params,
-                    outcome="failed",
-                    charge=0.0,
-                    error_type=failure.original_type,
-                    origin="store",
+                    params=params, outcome="drc", charge=0.0,
+                    error_type=failure.original_type, origin="pool",
                 )
-        else:
-            point = dataclasses.replace(
-                decode_point(record.payload),
-                parameters=dict(params),
-                source="cache",
-                simulated_seconds=0.0,
-            )
-            self.memo[key] = point
-            if tel is not None:
-                tel.ledger.append(
-                    params=params,
-                    outcome="cache",
-                    metrics=point.metrics,
-                    charge=0.0,
-                    origin="store",
-                )
+            return failure, "drc"
+        record = self._point_store.lookup(params)
+        if record is not None:
+            self.store_hits += 1
+            answer = self.memo[key] = self._point_store.adopt(params, record)
+            return answer, "store"
+        self.dispatched += 1
+        return None
 
-    def _store_put(
-        self, params: dict[str, int], result: EvaluatedPoint | EvaluationFailure
-    ) -> None:
-        """Append one tool-produced result to the persistent store."""
-        identity = self._store_identity()
-        if identity is None:
-            return
-        if isinstance(result, EvaluationFailure):
-            # DRC rejections are recomputed locally at zero cost and depend
-            # on rule configuration, not the flow — never persisted.
-            if result.original_type == "DrcViolationError":
-                return
-            stored = self.store.put(
-                point_key(identity, params),
-                KIND_FAILURE,
-                encode_failure(
-                    result.original_type, result.message, result.simulated_seconds
-                ),
-            )
-        else:
-            stored = self.store.put(
-                point_key(identity, params), KIND_POINT, encode_point(result)
-            )
-        if stored:
+    def _commit(self, key: tuple, params: dict[str, int], result: Answer) -> None:
+        """Memoize a tool answer and append it to the persistent store."""
+        self.memo[key] = result
+        if self._point_store.put(params, result):
             self.store_puts += 1
-            self._count("cache.store_put")
 
     # -- scheduling -----------------------------------------------------
 
     def submit_many(self, points: Sequence[Mapping[str, int]]) -> PendingBatch:
         """Accept a batch for evaluation; returns without waiting.
 
-        Fresh configurations are DRC-gated and store-consulted in the
-        parent, then dispatched to the pool (or evaluated inline when
-        ``workers <= 1``).  Configurations already memoized — or already
-        in flight from an earlier batch — are never re-dispatched.
-        Collect with :meth:`PendingBatch.results`.
+        Fresh configurations go through :meth:`_pre_dispatch` in the
+        parent, then to the pool (or inline when ``workers <= 1``).
+        Configurations already memoized — or already in flight from an
+        earlier batch — are never re-dispatched; their replays are
+        recorded when the batch is collected.  Collect with
+        :meth:`PendingBatch.results`.
         """
-        tel = current_telemetry()
         pts = [{k: int(v) for k, v in p.items()} for p in points]
-        keys = [_freeze(p) for p in pts]
+        keys = [freeze_params(p) for p in pts]
         fresh: dict[tuple, dict[str, int]] = {}
         first_occurrence: dict[tuple, int] = {}
         for i, (key, p) in enumerate(zip(keys, pts)):
-            if (
-                key not in self.memo
-                and key not in self._inflight
-                and key not in fresh
-            ):
+            if key in self.memo or key in self._inflight or key in fresh:
+                continue
+            first_occurrence[key] = i
+            if self._pre_dispatch(key, p) is None:
                 fresh[key] = p
-                first_occurrence[key] = i
 
-        if fresh:
-            # DRC pre-flight: reject infeasible fresh points in the parent
-            # process, before any worker dispatch.  The verdict is memoized
-            # so repeats replay without re-checking, like any other failure.
-            gate = self.gate()
-            identity = self._store_identity()
-            for key in list(fresh):
-                params = fresh[key]
-                violation = gate.violation(params)
-                if violation is not None:
-                    self.memo[key] = EvaluationFailure(
-                        type(violation).__name__, str(violation)
-                    )
-                    self.drc_rejections += 1
-                    # Pre-dispatch rejects never reach a worker, so this
-                    # layer owns their ledger record.
-                    if tel is not None:
-                        tel.ledger.append(
-                            params=params,
-                            outcome="drc",
-                            charge=0.0,
-                            error_type=type(violation).__name__,
-                            origin="pool",
-                        )
-                    del fresh[key]
-                    continue
-                # Persistent-store consult: a hit replays a prior process's
-                # tool run as a cache answer, before any dispatch.
-                if identity is not None:
-                    record = self.store.get(point_key(identity, params))
-                    # Low-rank records are fidelity-gate probes from another
-                    # process — never a substitute for a full-route answer.
-                    if record is not None and record.rank >= FULL_RANK:
-                        self._adopt_stored(key, params, record)
-                        del fresh[key]
-
-        owned = list(fresh)
-        if fresh:
-            self.dispatched += len(fresh)
-            if self.workers <= 1:
-                if self._serial is None:
-                    self._serial = self.spec.build()
-                for key, params in fresh.items():
-                    try:
-                        # The in-process evaluator records its own ledger
-                        # entries (it sees the parent's telemetry bundle).
-                        result: EvaluatedPoint | EvaluationFailure = (
-                            self._serial.evaluate(params)
-                        )
-                    except ReproError as exc:
-                        result = EvaluationFailure(
-                            type(exc).__name__,
-                            str(exc),
-                            simulated_seconds=self._serial.last_failure_seconds,
-                        )
-                    self.memo[key] = result
-                    self._store_put(params, result)
-                    if (
-                        self.spec.emulate_tool_latency > 0.0
-                        and result.simulated_seconds > 0.0
-                    ):
-                        # Mirror the worker-side latency emulation: the sleep
-                        # scales with the simulated seconds actually charged,
-                        # so partial flows (stage-cache hits, low-fidelity
-                        # probes) wait proportionally to the stages they ran
-                        # — not the full-flow price.
-                        time.sleep(
-                            result.simulated_seconds
-                            * self.spec.emulate_tool_latency
-                        )
-            else:
-                pool = self._ensure_pool()
-                for key, params in fresh.items():
-                    self._inflight[key] = pool.submit(_evaluate_one_safe, params)
-                    self._inflight_params[key] = params
-        return PendingBatch(self, pts, keys, first_occurrence, owned)
+        if fresh and self.workers <= 1:
+            if self._serial is None:
+                self._serial = self.spec.build()
+            for key, params in fresh.items():
+                # The in-process evaluator records its own ledger entries
+                # (it sees the parent's telemetry bundle).
+                result = run_tool(
+                    self._serial, params, latency=self.spec.emulate_tool_latency
+                )
+                self._commit(key, params, result)
+        elif fresh:
+            pool = self._ensure_pool()
+            for key, params in fresh.items():
+                self._inflight[key] = pool.submit(_evaluate_one_safe, params)
+                self._inflight_params[key] = params
+        return PendingBatch(self, pts, keys, first_occurrence, list(fresh))
 
     def _settle(self, keys: Sequence[tuple]) -> None:
         """Wait for any of *keys* still in flight, absorbing completions.
@@ -641,20 +383,19 @@ class ParallelPointEvaluator:
             result, delta = fut.result()
             del self._inflight[key]
             params = self._inflight_params.pop(key)
-            self.memo[key] = result
             if delta is not None:
                 records = delta.pop("records", ())
                 if records:
                     self._owned_records[key] = list(records)
                 if tel is not None:
                     tel.merge_delta(delta, origin="worker")
-            self._store_put(params, result)
+            self._commit(key, params, result)
 
     def evaluate_many(
         self,
         points: Sequence[Mapping[str, int]],
         on_error: str = "raise",
-    ) -> list[EvaluatedPoint | EvaluationFailure]:
+    ) -> list[Answer]:
         """Evaluate a batch, reusing the pool and the cross-batch memo.
 
         Equivalent to ``submit_many(points).results(on_error)`` — one
@@ -669,29 +410,6 @@ class ParallelPointEvaluator:
         if on_error not in ("raise", "return"):
             raise ValueError(f"on_error must be 'raise' or 'return', got {on_error!r}")
         return self.submit_many(points).results(on_error)
-
-    @staticmethod
-    def _record_replay(
-        tel, params: Mapping[str, int], stored: EvaluatedPoint | EvaluationFailure
-    ) -> None:
-        """Ledger record for a memo replay (zero charge — no tool touched)."""
-        if isinstance(stored, EvaluationFailure):
-            drc = stored.original_type == "DrcViolationError"
-            tel.ledger.append(
-                params=params,
-                outcome="drc" if drc else "failed",
-                charge=0.0,
-                error_type=stored.original_type,
-                origin="memo",
-            )
-        else:
-            tel.ledger.append(
-                params=params,
-                outcome="cache",
-                metrics=stored.metrics,
-                charge=0.0,
-                origin="memo",
-            )
 
     # -- introspection --------------------------------------------------
 

@@ -2,12 +2,12 @@
 
 This package is the Vivado stand-in: a project/run façade
 (:mod:`repro.flow.vivado_sim`) driven either programmatically or through the
-TCL layer, per-step directives (:mod:`repro.flow.directives`), and textual
+TCL layer, per-step directives (:mod:`repro.directives`), and textual
 utilization/timing reports with parsers (:mod:`repro.flow.reports`) so the
 framework extracts metrics the same way Dovado scrapes Vivado's output.
 """
 
-from repro.flow.directives import (
+from repro.directives import (
     ImplDirective,
     SynthDirective,
     DirectiveSet,

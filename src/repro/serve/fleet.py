@@ -32,22 +32,18 @@ round-robin interleaves *points*, not whole batches.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
-import time
 from concurrent.futures import Future
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.cache import FULL_RANK, point_key
+from repro.analysis.gate import freeze_params
 from repro.core.parallel import (
     EvaluationFailure,
     EvaluatorSpec,
     ParallelPointEvaluator,
     RemoteEvaluationError,
-    _as_cache_hit,
-    _freeze,
 )
-from repro.errors import ReproError
+from repro.core.pipeline import replay, run_tool
 from repro.observe import current_telemetry
 from repro.serve.scheduler import FairScheduler
 
@@ -63,13 +59,12 @@ def _count(name: str, value: float = 1) -> None:
 class _ConcurrentMember(ParallelPointEvaluator):
     """A fleet member whose point evaluations may run on many threads.
 
-    Inherits the whole memo/gate/store machinery of
-    :class:`~repro.core.parallel.ParallelPointEvaluator`; what changes is
-    the concurrency contract.  :meth:`evaluate_point` splits one
-    evaluation into lock-held bookkeeping (memo lookup, DRC verdict,
-    store consult, result commit) and the lock-free tool run in between,
-    keyed to a thread-local tool evaluator, so distinct configurations
-    evaluate in parallel while the shared state stays single-writer.
+    Inherits the pre-dispatch (memo → DRC gate → store) and commit steps
+    of :class:`~repro.core.parallel.ParallelPointEvaluator`; what changes
+    is the concurrency contract.  :meth:`evaluate_point` runs both steps
+    under the state lock and the tool run between them without it, on a
+    thread-local tool evaluator, so distinct configurations evaluate in
+    parallel while the shared state stays single-writer.
 
     Identical configurations must not race through the fresh path — the
     caller (the scheduler's single-flight table, keyed on exactly this
@@ -104,65 +99,19 @@ class _ConcurrentMember(ParallelPointEvaluator):
         the persistent store), ``"drc"`` (pre-flight rejection), or
         ``"tool"`` (a fresh run this call paid for).
         """
-        key = _freeze(params)
-        tel = current_telemetry()
+        key = freeze_params(params)
         with self._state_lock:
-            stored = self.memo.get(key)
-            if stored is not None:
-                self.memo_hits += 1
-                if tel is not None:
-                    self._record_replay(tel, params, stored)
-                if isinstance(stored, EvaluationFailure):
-                    return (
-                        dataclasses.replace(stored, simulated_seconds=0.0),
-                        "memo",
-                    )
-                return _as_cache_hit(stored), "memo"
-            violation = self.gate().violation(params)
-            if violation is not None:
-                failure = EvaluationFailure(
-                    type(violation).__name__, str(violation)
-                )
-                self.memo[key] = failure
-                self.drc_rejections += 1
-                if tel is not None:
-                    tel.ledger.append(
-                        params=params,
-                        outcome="drc",
-                        charge=0.0,
-                        error_type=type(violation).__name__,
-                        origin="pool",
-                    )
-                return failure, "drc"
-            identity = self._store_identity()
-            if identity is not None:
-                record = self.store.get(point_key(identity, params))
-                if record is not None and record.rank >= FULL_RANK:
-                    self._adopt_stored(key, params, record)
-                    return self.memo[key], "store"
-            self.dispatched += 1
+            answer = self._pre_dispatch(key, params)
+        if answer is not None:
+            return answer
         # The tool run happens outside the lock: parallelism across
         # distinct configurations is the whole point, and the emulated
         # tool latency must block only this pool thread.
-        evaluator = self._tool_evaluator()
-        try:
-            result: Any = evaluator.evaluate(params)
-        except ReproError as exc:
-            result = EvaluationFailure(
-                type(exc).__name__,
-                str(exc),
-                simulated_seconds=evaluator.last_failure_seconds,
-            )
-        if (
-            self.spec.emulate_tool_latency > 0.0
-            and result.simulated_seconds > 0.0
-        ):
-            time.sleep(
-                result.simulated_seconds * self.spec.emulate_tool_latency
-            )
+        result = run_tool(
+            self._tool_evaluator(), params, latency=self.spec.emulate_tool_latency
+        )
         with self._state_lock:
-            self.memo[key] = result
-            self._store_put(params, result)
+            self._commit(key, params, result)
         return result, "tool"
 
 
@@ -323,7 +272,7 @@ class SchedulerBoundEvaluator:
                     self.scheduler.submit(
                         self.job_id,
                         self._one_concurrent(params),
-                        key=(id(self._member), _freeze(params)),
+                        key=(id(self._member), freeze_params(params)),
                         transform=self._coalesced(params),
                     )
                 )
@@ -367,28 +316,7 @@ class SchedulerBoundEvaluator:
                 else:
                     self.cache_hits += 1
             _count("serve.coalesced_hits")
-            tel = current_telemetry()
-            if tel is not None:
-                if isinstance(result, EvaluationFailure):
-                    drc = result.original_type == "DrcViolationError"
-                    tel.ledger.append(
-                        params=params,
-                        outcome="drc" if drc else "failed",
-                        charge=0.0,
-                        error_type=result.original_type,
-                        origin="coalesced",
-                    )
-                else:
-                    tel.ledger.append(
-                        params=params,
-                        outcome="cache",
-                        metrics=result.metrics,
-                        charge=0.0,
-                        origin="coalesced",
-                    )
-            if isinstance(result, EvaluationFailure):
-                return dataclasses.replace(result, simulated_seconds=0.0)
-            return _as_cache_hit(result)
+            return replay(params, result, "coalesced")
 
         return transform
 

@@ -15,7 +15,6 @@ from repro.core.parallel import (
     EvaluationFailure,
     EvaluatorSpec,
     ParallelPointEvaluator,
-    _freeze,
 )
 from repro.core.spaces import IntRange, ParameterSpace
 from repro.errors import DrcViolationError
@@ -71,8 +70,11 @@ class TestPreflightGate:
 
     def test_freeze_matches_parallel_memo_key(self):
         params = {"B": 2, "a": 1}
-        assert freeze_params(params) == _freeze(params)
         assert freeze_params({"A": 1, "b": 2}) == freeze_params(params)
+        spec = EvaluatorSpec.from_evaluator(make_evaluator())
+        with ParallelPointEvaluator(spec=spec, workers=0) as pe:
+            pe.evaluate_many([{"W": 1}], on_error="return")
+        assert list(pe.memo) == [freeze_params({"w": 1})]
 
     def test_violation_carries_findings_and_point(self):
         gate = PreflightGate(nullable_module())

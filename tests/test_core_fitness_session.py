@@ -208,17 +208,21 @@ class TestDseSession:
             assert sess.fitness._parallel is pool, "pool must survive explores"
         assert pool._pool is None, "session close must shut the pool down"
 
-    def test_incremental_evaluator_stays_serial(self, cqm_design):
+    def test_incremental_evaluator_stays_serial(self, cqm_design, monkeypatch):
         """Incremental flows warm-start from checkpoints, so parallel
         fan-out would change QoR; the fitness must refuse to fan out."""
+        import repro.core.parallel as parallel_mod
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("an incremental session started a process pool")
+
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", no_pool)
         with DseSession(
             design=cqm_design, part="XC7K70T", use_model=False,
             incremental=True, seed=5, workers=2,
         ) as sess:
-            assert not sess.fitness._use_parallel()
             res = sess.explore(generations=2, population=8)
             assert res.evaluations > 0
-            assert sess.fitness._parallel is None
 
     def test_custom_metrics_flow_through(self, cqm_design):
         metrics = [

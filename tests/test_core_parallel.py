@@ -35,16 +35,33 @@ BATCH = [
 
 class TestSpec:
     def test_roundtrip_from_evaluator(self):
+        from tests.test_pipeline_contracts import TICK_SV
+
         design = get_design("corundum-cqm")
-        ev = PointEvaluator(
-            source=design.source(), language=design.language, top=design.top,
-            part="ZU3EG", seed=7,
-        )
-        spec = EvaluatorSpec.from_evaluator(ev, design_name="corundum-cqm")
-        rebuilt = spec.build()
-        assert rebuilt.part == "ZU3EG"
-        assert rebuilt.module.name == design.top
-        assert rebuilt.metric_names() == ev.metric_names()
+        cases = [
+            (dict(source=design.source(), language=design.language,
+                  top=design.top, part="ZU3EG", seed=7), "corundum-cqm"),
+            # A clock port name detection cannot find must survive too.
+            (dict(source=TICK_SV, language="systemverilog", top="ticker",
+                  part="ZU3EG", seed=7, clock_port="tick"), None),
+        ]
+        for kwargs, design_name in cases:
+            ev = PointEvaluator(**kwargs)
+            spec = EvaluatorSpec.from_evaluator(ev, design_name=design_name)
+            rebuilt = spec.build()
+            assert rebuilt.part == "ZU3EG"
+            assert rebuilt.module.name == ev.module.name
+            assert rebuilt.metric_names() == ev.metric_names()
+            assert rebuilt.clock_port == ev.clock_port
+            assert EvaluatorSpec.from_evaluator(rebuilt, design_name) == spec
+
+    def test_identity_names_clock_port_only_when_given(self):
+        import dataclasses
+
+        spec = _spec()
+        assert "clock_port" not in spec.identity()
+        ticked = dataclasses.replace(spec, clock_port="clk")
+        assert ticked.identity() == {**spec.identity(), "clock_port": "clk"}
 
     def test_spec_is_picklable(self):
         import pickle

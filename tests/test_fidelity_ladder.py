@@ -232,12 +232,12 @@ class TestSerialLatencyEmulation:
     serial fallback path, exactly as it does in pool workers."""
 
     def test_serial_fallback_sleeps_proportionally(self, cqm_design, monkeypatch):
-        import repro.core.parallel as parallel_mod
+        import repro.core.pipeline as pipeline_mod
         from repro.core.parallel import EvaluatorSpec, ParallelPointEvaluator
 
         sleeps: list[float] = []
         monkeypatch.setattr(
-            parallel_mod.time, "sleep", lambda s: sleeps.append(s)
+            pipeline_mod.time, "sleep", lambda s: sleeps.append(s)
         )
         evaluator = PointEvaluator(
             source=cqm_design.source(),
