@@ -973,9 +973,9 @@ class _Program:
                     for expr, role in callable_args:
                         mark(entity_for(cls, func, expr), role)
         # Fixpoint: propagate roles through direct self-calls, nested-def
-        # inheritance, and parameter-forwarding helpers like
-        # FairScheduler._call (whose nested runner calls its fn parameter on
-        # the loop thread, giving every closure passed to it the loop role).
+        # inheritance, and parameter-forwarding helpers (a method whose
+        # nested runner calls its fn parameter on the loop thread gives
+        # every closure passed to it the loop role).
         for _ in range(10):
             changed = False
             for cls in self.classes.values():

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.analysis.gate import PreflightGate
+from repro.analysis.gate import FrozenParams, PreflightGate, freeze_params
 from repro.cache import FULL_RANK, ResultStore, fidelity_rank
 from repro.core.evaluate import PointEvaluator
 from repro.core.pipeline import (
@@ -47,7 +47,7 @@ from repro.moo.sampling import IntegerRandomSampling
 from repro.observe import current_telemetry
 from repro.util.rng import as_generator
 
-__all__ = ["ApproximateFitness", "DseProblem", "PendingEncodedBatch"]
+__all__ = ["ApproximateFitness", "DseProblem"]
 
 # Cost model for non-tool answers (simulated seconds).
 _ESTIMATE_COST_S = 0.2
@@ -135,17 +135,17 @@ class ApproximateFitness:
         # Frozen binding -> (encoded row, probe minimized metrics): points
         # the gate skipped, awaiting promotion-on-demand if they survive
         # into the archive.
-        self._speculative: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._speculative: dict[FrozenParams, tuple[np.ndarray, np.ndarray]] = {}
         # Frozen binding -> raw metric vector already answered by the gated
         # path (replays are cache-priced, like the tool's own run cache).
-        self._gate_memo: dict[tuple, np.ndarray] = {}
+        self._gate_memo: dict[FrozenParams, np.ndarray] = {}
         # Opt-in static-estimate priors for the promotion gate: each gated
         # point contributes its zero-cost analytical bounds (rung 0 of the
         # ladder) as extra residual-model features.  Frozen binding ->
         # normalized feature row, memoized because assess/observe/promote
         # must all see the identical vector for one binding.
         self.gate_static_priors = bool(gate_static_priors)
-        self._prior_cache: dict[tuple, np.ndarray] = {}
+        self._prior_cache: dict[FrozenParams, np.ndarray] = {}
         if self.gate_static_priors and not fidelity_gate:
             raise ValueError("gate_static_priors requires fidelity_gate=True")
         if self.fidelity_gate_enabled:
@@ -413,10 +413,6 @@ class ApproximateFitness:
     # ------------------------------------------------------------------
     # Speculative fidelity gate
 
-    @staticmethod
-    def _frozen(params: dict[str, int]) -> tuple:
-        return tuple(sorted((k, int(v)) for k, v in params.items()))
-
     def _static_priors(self, params: dict[str, int]) -> np.ndarray | None:
         """Rung-0 prior features for one binding (memoized), or None when off.
 
@@ -429,7 +425,7 @@ class ApproximateFitness:
         """
         if not self.gate_static_priors:
             return None
-        frozen = self._frozen(params)
+        frozen = freeze_params(params)
         cached = self._prior_cache.get(frozen)
         if cached is None:
             from repro.netlist.static_estimate import static_estimate_point
@@ -466,7 +462,7 @@ class ApproximateFitness:
         gate = self.promotion_gate
         assert gate is not None
         params = self.space.decode(encoded)
-        frozen = self._frozen(params)
+        frozen = freeze_params(params)
         memo = self._gate_memo.get(frozen)
         if memo is not None:
             # The gated path already answered this binding this session —
@@ -578,10 +574,10 @@ class ApproximateFitness:
         promoted = 0
         while True:
             mask = non_dominated_mask(archive.F)
-            fixes: dict[tuple, np.ndarray] = {}  # frozen binding -> minimized row
+            fixes: dict[FrozenParams, np.ndarray] = {}  # frozen binding -> minimized row
             for i in np.flatnonzero(mask):
                 params = self.space.decode(rows[i])
-                frozen = self._frozen(params)
+                frozen = freeze_params(params)
                 if frozen in fixes:
                     continue
                 spec = self._speculative.get(frozen)
@@ -610,27 +606,13 @@ class ApproximateFitness:
             if not fixes:
                 return promoted
             for i in range(rows.shape[0]):
-                frozen = self._frozen(self.space.decode(rows[i]))
+                frozen = freeze_params(self.space.decode(rows[i]))
                 fix = fixes.get(frozen)
                 if fix is not None:
                     archive.F[i] = fix
 
     # ------------------------------------------------------------------
-    # Batch fan-out (shared by the blocking and async interfaces)
-
-    def submit_encoded(self, X: np.ndarray, record: bool = False) -> "PendingEncodedBatch":
-        """Submit encoded rows to the fan-out without waiting.
-
-        Returns a :class:`PendingEncodedBatch`; call ``collect()`` to
-        account the results.  Batches must be collected in submission
-        order — history, cost accounting, and dataset insertion follow
-        collection order, and the serial reference defines it as the
-        submission order.
-        """
-        rows = [np.asarray(row) for row in np.atleast_2d(X)]
-        params_list = [self.space.decode(row) for row in rows]
-        batch = self._parallel_evaluator().submit_many(params_list)
-        return PendingEncodedBatch(self, rows, params_list, batch, record)
+    # Batch fan-out
 
     def _run_tool_batch(self, X: np.ndarray, record: bool) -> np.ndarray:
         """Fan encoded rows over the persistent pool; replay in order.
@@ -638,9 +620,19 @@ class ApproximateFitness:
         The fan-out evaluates unique unseen points concurrently; results
         (and infeasibility penalties) are then accounted in the original
         row order, so history, cost accounting, and dataset insertion
-        order are identical to the serial loop.
+        order are identical to the serial loop.  The batch layer (worker,
+        store, or memo) already wrote each ledger record and ships a
+        failed run's cost.
         """
-        return self.submit_encoded(X, record=record).collect()
+        rows = [np.asarray(row) for row in np.atleast_2d(X)]
+        params_list = [self.space.decode(row) for row in rows]
+        outs = self._parallel_evaluator().submit_many(params_list).results(
+            on_error="return"
+        )
+        result = np.empty((len(rows), len(self.evaluator.metric_names())))
+        for i, (row, params, res) in enumerate(zip(rows, params_list, outs)):
+            result[i] = self._account(row, params, res, record)
+        return result
 
     def evaluate_encoded(self, X: np.ndarray) -> np.ndarray:
         """Evaluate encoded rows → raw metric matrix (NSGA-II's fitness).
@@ -755,51 +747,6 @@ class ApproximateFitness:
         if self.use_model:
             base.update(self.control.stats())
         return base
-
-
-class PendingEncodedBatch:
-    """Encoded rows submitted to the fan-out, awaiting accounting.
-
-    Produced by :meth:`ApproximateFitness.submit_encoded`.  The underlying
-    points may resolve in any order across the pool; ``collect()`` blocks
-    until all are done and then accounts them in the original row order,
-    so the history/cost/dataset trajectory is identical to the serial
-    loop.  Collect batches in the order they were submitted.
-    """
-
-    def __init__(
-        self,
-        fitness: ApproximateFitness,
-        rows: list[np.ndarray],
-        params_list: list[dict[str, int]],
-        batch,
-        record: bool,
-    ) -> None:
-        self._fitness = fitness
-        self._rows = rows
-        self._params_list = params_list
-        self._batch = batch
-        self._record = record
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def done(self) -> bool:
-        """True when no point of this batch is still running."""
-        return self._batch.done()
-
-    def collect(self) -> np.ndarray:
-        """Block until resolved; account and return the metric matrix."""
-        fitness = self._fitness
-        outs = self._batch.results(on_error="return")
-        result = np.empty((len(self._rows), len(fitness.evaluator.metric_names())))
-        for i, (row, params, res) in enumerate(
-            zip(self._rows, self._params_list, outs)
-        ):
-            # The batch layer (worker, store, or memo) already wrote the
-            # ledger record and ships a failed run's cost.
-            result[i] = fitness._account(row, params, res, self._record)
-        return result
 
 
 class _BoundsOnly(IntegerProblem):

@@ -225,20 +225,6 @@ class DseSession:
         """Design automation mode: exact evaluation of given configurations."""
         return [self.evaluator.evaluate(p) for p in points]
 
-    def submit_points(self, points: Sequence[Mapping[str, int]]):
-        """Design automation mode, asynchronously.
-
-        Submits the configurations to the batch evaluator (worker pool,
-        memo, in-flight dedup, and — when the session was built with
-        ``result_store`` — the persistent store) and returns a
-        :class:`repro.core.parallel.PendingBatch` immediately.  Several
-        batches may be in flight at once; collect each with
-        ``.results()``, in submission order, to get points in request
-        order.  Results are bitwise identical to
-        :meth:`evaluate_points`'s metrics for fresh configurations.
-        """
-        return self.fitness._parallel_evaluator().submit_many(list(points))
-
     def explore(
         self,
         generations: int = 20,

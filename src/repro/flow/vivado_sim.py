@@ -42,7 +42,6 @@ from repro.pnr.implementation import implement, implement_placed_estimate
 from repro.pnr.timing import block_internal_delay_ns
 from repro.synth.synthesis import synthesize
 from repro.util.rng import stable_hash_seed
-from repro.util.timing import Stopwatch
 from repro.util.units import fmax_from_wns
 
 __all__ = ["Fidelity", "FlowStep", "RunResult", "VivadoSim"]
@@ -178,7 +177,6 @@ class VivadoSim:
         self._read_texts: set[tuple[str, HdlLanguage]] = set()
         self.target_period_ns: float = 1.0  # paper default: 1 GHz target
         self.checkpoints = CheckpointStore()
-        self.stopwatch = Stopwatch()
         self.simulated_seconds = 0.0
         self.last_run_seconds = 0.0
         self.last_run_cached = False
@@ -355,8 +353,7 @@ class VivadoSim:
                 self.synth_stage_hits += 1
                 self._count("cache.synth_hit")
             else:
-                with self.stopwatch.measure("synthesis"), \
-                        observe_span("flow.synthesis") as sp:
+                with observe_span("flow.synthesis") as sp:
                     synth = synthesize(
                         module,
                         self.device,
@@ -384,8 +381,7 @@ class VivadoSim:
                     self.impl_stage_hits += 1
                     self._count("cache.impl_hit")
                 else:
-                    with self.stopwatch.measure("implementation"), \
-                            observe_span("flow.implementation") as sp:
+                    with observe_span("flow.implementation") as sp:
                         impl = implement(
                             synth.mapped,
                             target_period_ns=self.target_period_ns,
@@ -409,8 +405,7 @@ class VivadoSim:
                 arcs = impl_entry.arcs_analyzed
                 incremental = impl_entry.used_checkpoint or synth.incremental_reuse > 0
             elif step == FlowStep.IMPLEMENTATION and effective is Fidelity.PLACED_ESTIMATE:
-                with self.stopwatch.measure("placement"), \
-                        observe_span("flow.placed_estimate") as sp:
+                with observe_span("flow.placed_estimate") as sp:
                     est = implement_placed_estimate(
                         synth.mapped,
                         target_period_ns=self.target_period_ns,

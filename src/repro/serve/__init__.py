@@ -9,9 +9,9 @@ downloader split:
 - :mod:`repro.serve.jobs` — the job spec/record vocabulary.
 - :mod:`repro.serve.queue` — :class:`FileJobQueue`, the client↔server
   handoff over atomic file renames (``submit``/``jobs``/``cancel`` CLI).
-- :mod:`repro.serve.scheduler` — :class:`FairScheduler`, the asyncio
+- :mod:`repro.serve.scheduler` — :class:`FairScheduler`, the lock-guarded
   round-robin multiplexer with per-job slots, bounded-lane backpressure,
-  cancel, and graceful drain.
+  single-flight coalescing, cancel, and graceful drain.
 - :mod:`repro.serve.fleet` — :class:`EvaluatorFleet`, one shared
   evaluator per spec over the sharded store, plus the
   :class:`SchedulerBoundEvaluator` facade sessions bind via

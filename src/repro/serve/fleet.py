@@ -255,7 +255,7 @@ class SchedulerBoundEvaluator:
         self._member_lock = member_lock
         # Per-tenant attribution (the member's own counters are shared
         # across every job on the spec): what *this* job's requests cost.
-        # Bumped from executor threads and the scheduler loop thread.
+        # Bumped from executor threads (own runs and coalesced transforms).
         self._stats_lock = threading.Lock()
         self.tool_runs = 0
         self.cache_hits = 0

@@ -1,4 +1,4 @@
-"""The fair asyncio scheduler multiplexing jobs over one worker pool.
+"""The fair scheduler multiplexing jobs over one worker pool.
 
 This is the engine/scheduler/downloader split the ROADMAP points at
 (scrapy's architecture): sessions *produce* evaluation requests, the
@@ -9,9 +9,9 @@ server process:
 - **Per-job lanes.**  Each registered job gets a FIFO lane plus a slot
   limit — the most evaluations it may have running at once — so a wide
   job cannot monopolize the pool.
-- **Fair round-robin dispatch.**  The dispatcher coroutine walks the
-  lane rotation, taking at most one request per lane per turn; two jobs
-  with queued work interleave 1:1 regardless of how fast either enqueues.
+- **Fair round-robin dispatch.**  Claiming walks the lane rotation,
+  taking at most one request per lane per turn; two jobs with queued
+  work interleave 1:1 regardless of how fast either enqueues.
 - **Backpressure.**  The pool has a hard capacity; when it saturates,
   requests queue in their lane, and each lane itself is bounded
   (``max_pending``): a producer thread calling :meth:`submit` blocks
@@ -32,13 +32,17 @@ server process:
   accepted request to resolve, so shutdown never abandons a session
   mid-batch.
 
-The event loop runs in a dedicated daemon thread; every public method is
-thread-safe and callable from job-runner threads.
+The scheduler is a monitor: one lock guards the lanes, the rotation and
+the single-flight table, and every public method is thread-safe.  There
+is no dispatcher thread.  :meth:`submit` claims a fair round on the
+caller's thread, and a pool thread that finishes a request claims the
+next round itself.  The lock is a leaf: futures are resolved, follower
+transforms run, and work is handed to the pool only after it is
+released.
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -63,35 +67,10 @@ class SchedulerClosed(ReproError):
 
 
 @dataclass
-class _Follower:
-    """A coalesced request riding on another lane's in-flight primary.
-
-    Keeps its own ``fn`` so it can be *promoted* to a primary if the
-    lane that dispatched the shared run cancels before it completes; the
-    optional ``transform`` reshapes the primary's result into this
-    tenant's answer (e.g. cache-pricing a shared evaluation).
-    """
+class _Lane:
+    """One job's view of the scheduler (mutated only under the scheduler lock)."""
 
     job_id: str
-    fn: Callable[[], Any]
-    future: Future[Any]
-    transform: Callable[[Any], Any] | None = None
-
-
-@dataclass
-class _Request:
-    fn: Callable[[], Any]
-    future: Future[Any]
-    #: Single-flight key: requests sharing a non-None key coalesce onto
-    #: whichever of them is queued or running first.
-    key: Any = None
-    followers: list[_Follower] = field(default_factory=list)
-
-
-@dataclass
-class _Lane:
-    """One job's view of the scheduler (mutated only on the loop thread)."""
-
     slots: int
     queue: deque[_Request] = field(default_factory=deque)
     running: int = 0
@@ -106,213 +85,183 @@ class _Lane:
     gate: threading.Semaphore | None = None
 
 
+@dataclass
+class _Request:
+    """One accepted request: queued or running as a primary, or riding
+    on another request's run as one of its followers.
+
+    A follower keeps its own ``fn`` so it can be *promoted* to a primary
+    if the lane that dispatched the shared run cancels before it
+    completes; its ``transform`` reshapes the primary's result into this
+    tenant's answer (e.g. cache-pricing a shared evaluation).
+    """
+
+    lane: _Lane
+    fn: Callable[[], Any]
+    future: Future[Any]
+    #: Single-flight key: requests sharing a non-None key coalesce onto
+    #: whichever of them is queued or running first.
+    key: Any = None
+    transform: Callable[[Any], Any] | None = None
+    followers: list[_Request] = field(default_factory=list)
+
+
+def _resolve(
+    future: Future[Any],
+    value: Any,
+    error: BaseException | None,
+    transform: Callable[[Any], Any] | None = None,
+) -> None:
+    """Settle *future* with a run's outcome, through *transform* if given."""
+    if error is None and transform is not None:
+        try:
+            value = transform(value)
+        except BaseException as exc:  # noqa: BLE001 - surfaced on the future
+            error = exc
+    if error is not None:
+        future.set_exception(error)
+    else:
+        future.set_result(value)
+
+
+def _fail(requests: list[_Request]) -> None:
+    """Fail dropped requests fast with their job's cancellation."""
+    for request in requests:
+        if request.future.set_running_or_notify_cancel():
+            request.future.set_exception(JobCancelledError(request.lane.job_id))
+
+
 class FairScheduler:
     """Round-robin multiplexer of per-job request lanes over a thread pool."""
 
-    def __init__(
-        self,
-        capacity: int = 4,
-        max_pending: int | None = None,
-        thread_name_prefix: str = "dse-eval",
-    ) -> None:
+    def __init__(self, capacity: int = 4, max_pending: int | None = None) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         if max_pending is not None and max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
         self.capacity = capacity
         self.max_pending = max_pending
-        self._executor = ThreadPoolExecutor(
-            max_workers=capacity, thread_name_prefix=thread_name_prefix
-        )
+        self._executor = ThreadPoolExecutor(max_workers=capacity)
+        # The monitor lock guards every field below.
+        self._lock = threading.Lock()
         self._lanes: dict[str, _Lane] = {}
         self._rotation: deque[str] = deque()
         # Single-flight table: key -> the primary request (queued or
         # running) that later keyed submits attach to as followers.
-        # Loop-thread confined, like the lanes.
         self._inflight_keys: dict[Any, _Request] = {}
         self._coalesced_total = 0
         self._in_flight = 0
         self._peak_in_flight = 0
+        # Accepted requests whose futures are not resolved yet; drain
+        # waits for this to reach zero.
+        self._pending = 0
         self._draining = False
-        self._closed = False
         self._idle = threading.Event()
         self._idle.set()
-        self._loop = asyncio.new_event_loop()
-        self._wakeup: asyncio.Event | None = None
-        started = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, args=(started,), name="dse-scheduler", daemon=True
-        )
-        self._thread.start()
-        started.wait()
 
-    # -- loop thread ------------------------------------------------------
+    # -- claiming and running ---------------------------------------------
 
-    def _run(self, started: threading.Event) -> None:
-        asyncio.set_event_loop(self._loop)
-        self._wakeup = asyncio.Event()
-        started.set()
-        try:
-            self._loop.run_until_complete(self._dispatch())
-        finally:
-            self._loop.close()
-
-    async def _dispatch(self) -> None:
-        assert self._wakeup is not None
-        while True:
-            await self._wakeup.wait()
-            self._wakeup.clear()
-            if self._closed:
-                return
-            # Walk the rotation until a full pass makes no progress:
-            # at most one dispatch per lane per pass is what makes the
-            # schedule fair — a lane with 50 queued requests advances no
-            # faster per turn than one with a single request.
+    def _claim(self) -> list[_Request]:
+        """Take the next fair round off the lanes, up to the free capacity."""
+        claimed: list[_Request] = []
+        with self._lock:
+            # Walk the rotation until a full pass makes no progress: at
+            # most one claim per lane per pass is what makes the schedule
+            # fair — a lane with 50 queued requests advances no faster
+            # per turn than one with a single request.
             progress = True
             while progress and self._in_flight < self.capacity:
                 progress = False
                 for _ in range(len(self._rotation)):
                     if self._in_flight >= self.capacity:
                         break
-                    job_id = self._rotation[0]
+                    lane = self._lanes[self._rotation[0]]
                     self._rotation.rotate(-1)
-                    lane = self._lanes.get(job_id)
-                    if lane is None or not lane.queue or lane.running >= lane.slots:
+                    if not lane.queue or lane.running >= lane.slots:
                         continue
-                    request = lane.queue.popleft()
-                    if not request.future.set_running_or_notify_cancel():
-                        self._release(lane)
-                        self._drop_primary(request)
-                        continue
+                    claimed.append(lane.queue.popleft())
                     lane.running += 1
                     self._in_flight += 1
-                    self._peak_in_flight = max(self._peak_in_flight, self._in_flight)
-                    task = self._loop.run_in_executor(self._executor, request.fn)
-                    task.add_done_callback(
-                        lambda done, j=job_id, r=request: self._finish(j, r, done)
-                    )
                     progress = True
-            self._check_idle()
+            self._peak_in_flight = max(self._peak_in_flight, self._in_flight)
+        return claimed
 
-    def _finish(
-        self, job_id: str, request: _Request, done: asyncio.Future[Any]
-    ) -> None:
-        # Runs on the loop thread (asyncio future callbacks do).
-        self._in_flight -= 1
-        lane = self._lanes.get(job_id)
-        if lane is not None:
-            lane.running -= 1
-            lane.completed += 1
-            self._release(lane)
-        if request.key is not None:
-            self._inflight_keys.pop(request.key, None)
-        exc = done.exception()
-        if exc is not None:
-            request.future.set_exception(exc)
-        else:
-            request.future.set_result(done.result())
-        for follower in request.followers:
-            self._resolve_follower(follower, exc, done)
-        request.followers.clear()
-        assert self._wakeup is not None
-        self._wakeup.set()
-        self._check_idle()
+    def _start(self, claimed: list[_Request]) -> None:
+        for request in claimed:
+            self._executor.submit(self._run, request)
 
-    def _resolve_follower(
-        self,
-        follower: _Follower,
-        exc: BaseException | None,
-        done: asyncio.Future[Any],
-    ) -> None:
-        flane = self._lanes.get(follower.job_id)
-        if flane is not None:
-            flane.coalesced += 1
-            self._release(flane)
-        self._coalesced_total += 1
-        if not follower.future.set_running_or_notify_cancel():
-            return
-        if exc is not None:
-            follower.future.set_exception(exc)
-            return
-        try:
-            value = done.result()
-            if follower.transform is not None:
-                value = follower.transform(value)
-        except BaseException as terr:  # noqa: BLE001 - surfaced on the future
-            follower.future.set_exception(terr)
-        else:
-            follower.future.set_result(value)
+    def _run(self, request: _Request) -> None:
+        """Pool thread: run one claimed request, then claim the next round.
 
-    def _drop_primary(self, request: _Request) -> None:
+        Handing the next round to the pool (rather than running it here)
+        keeps a chain of instantly finishing requests off the stack.
+        """
+        if request.future.set_running_or_notify_cancel():
+            value: Any = None
+            error: BaseException | None = None
+            try:
+                value = request.fn()
+            except BaseException as exc:  # noqa: BLE001 - surfaced on the future
+                error = exc
+            # Unpublish the key before resolving, so a same-key submit
+            # never attaches to a primary nobody will resolve again.
+            with self._lock:
+                if self._inflight_keys.get(request.key) is request:
+                    del self._inflight_keys[request.key]
+                settled, request.followers = request.followers, []
+                self._coalesced_total += len(settled)
+                for follower in settled:
+                    follower.lane.coalesced += 1
+            _resolve(request.future, value, error)
+            for follower in settled:
+                if follower.future.set_running_or_notify_cancel():
+                    _resolve(follower.future, value, error, follower.transform)
+        else:  # its owner cancelled the future while it queued
+            settled = self._drop(request)
+            _fail(settled)
+        self._settle([request, *settled], ran=request)
+        self._start(self._claim())
+
+    def _drop(self, request: _Request) -> list[_Request]:
         """A keyed primary left the queue unrun: promote a follower.
 
         The first follower whose lane is still live becomes the new
         primary for the key — queued at the *front* of its own lane (it
         already waited its turn attached to the dropped request) with the
-        remaining followers carried over.  Followers of dead lanes fail
-        fast like any cancelled request.
+        remaining followers carried over.  Returns the followers of
+        cancelled lanes, which the caller fails.
         """
-        if request.key is None:
-            if request.followers:  # pragma: no cover - defensive
-                raise AssertionError("followers on an unkeyed request")
-            return
-        self._inflight_keys.pop(request.key, None)
-        followers = request.followers
-        request.followers = []
-        while followers:
-            follower = followers.pop(0)
-            lane = self._lanes.get(follower.job_id)
-            if lane is None or lane.cancelled:
-                if lane is not None:
-                    lane.dropped += 1
-                    self._release(lane)
-                if follower.future.set_running_or_notify_cancel():
-                    follower.future.set_exception(
-                        JobCancelledError(follower.job_id)
-                    )
-                continue
-            promoted = _Request(
-                fn=follower.fn,
-                future=follower.future,
-                key=request.key,
-                followers=followers,
-            )
-            self._inflight_keys[request.key] = promoted
-            lane.queue.appendleft(promoted)
-            assert self._wakeup is not None
-            self._wakeup.set()
-            return
+        dead: list[_Request] = []
+        with self._lock:
+            if self._inflight_keys.get(request.key) is request:
+                del self._inflight_keys[request.key]
+            followers, request.followers = request.followers, []
+            while followers:
+                follower = followers.pop(0)
+                if follower.lane.cancelled:
+                    follower.lane.dropped += 1
+                    dead.append(follower)
+                    continue
+                follower.followers = followers
+                self._inflight_keys[request.key] = follower
+                follower.lane.queue.appendleft(follower)
+                break
+        return dead
 
-    @staticmethod
-    def _release(lane: _Lane) -> None:
-        if lane.gate is not None:
-            lane.gate.release()
-
-    def _check_idle(self) -> None:
-        if self._in_flight == 0 and not any(
-            lane.queue for lane in self._lanes.values()
-        ):
-            self._idle.set()
-        else:
-            self._idle.clear()
-
-    def _call(self, fn: Callable[[], Any]) -> Any:
-        """Run *fn* on the loop thread and wait for its return value."""
-        box: dict[str, Any] = {}
-        ready = threading.Event()
-
-        def runner() -> None:
-            try:
-                box["value"] = fn()
-            except BaseException as exc:  # pragma: no cover - defensive
-                box["error"] = exc
-            ready.set()
-
-        self._loop.call_soon_threadsafe(runner)
-        ready.wait()
-        if "error" in box:
-            raise box["error"]
-        return box["value"]
+    def _settle(self, resolved: list[_Request], ran: _Request | None = None) -> None:
+        """Every future in *resolved* is done: free their backpressure, and
+        the executor slot *ran* held; the last one marks the scheduler idle."""
+        with self._lock:
+            if ran is not None:
+                self._in_flight -= 1
+                ran.lane.running -= 1
+                ran.lane.completed += 1
+            self._pending -= len(resolved)
+            if not self._pending:
+                self._idle.set()
+        for request in resolved:
+            if request.lane.gate is not None:
+                request.lane.gate.release()
 
     # -- public (any thread) ----------------------------------------------
 
@@ -320,35 +269,25 @@ class FairScheduler:
         """Create the job's lane; ``slots`` caps its concurrent evaluations."""
         if slots < 1:
             raise ValueError(f"slots must be >= 1, got {slots}")
-
-        def _register() -> None:
-            if self._closed or self._draining:
+        gate = (
+            threading.Semaphore(self.max_pending)
+            if self.max_pending is not None
+            else None
+        )
+        with self._lock:
+            if self._draining:
                 raise SchedulerClosed("scheduler is draining; no new jobs")
             if job_id in self._lanes:
                 raise ValueError(f"job {job_id!r} already registered")
-            gate = (
-                threading.Semaphore(self.max_pending)
-                if self.max_pending is not None
-                else None
-            )
-            self._lanes[job_id] = _Lane(slots=slots, gate=gate)
+            self._lanes[job_id] = _Lane(job_id, slots=slots, gate=gate)
             self._rotation.append(job_id)
-
-        self._call(_register)
 
     def unregister_job(self, job_id: str) -> None:
         """Drop a job's lane (cancels anything still queued)."""
         self.cancel_job(job_id)
-
-        def _unregister() -> None:
-            self._lanes.pop(job_id, None)
-            try:
+        with self._lock:
+            if self._lanes.pop(job_id, None) is not None:
                 self._rotation.remove(job_id)
-            except ValueError:
-                pass
-            self._check_idle()
-
-        self._call(_unregister)
 
     def submit(
         self,
@@ -373,46 +312,38 @@ class FairScheduler:
         their backpressure slot until resolution, and a cancelled
         primary's followers are promoted rather than dropped.
         """
-        lane = self._lanes.get(job_id)  # racy peek, revalidated on the loop
-        if lane is not None and lane.gate is not None:
-            lane.gate.acquire()
         future: Future[Any] = Future()
-
-        def _enqueue() -> None:
-            target = self._lanes.get(job_id)
-            if target is None:
-                future.set_exception(
-                    SchedulerClosed(f"job {job_id!r} is not registered")
-                )
-                return
-            if target.cancelled:
-                self._release(target)
-                future.set_exception(JobCancelledError(job_id))
-                return
-            if self._draining or self._closed:
-                self._release(target)
-                future.set_exception(
-                    SchedulerClosed("scheduler is draining; request rejected")
-                )
-                return
-            if key is not None:
-                primary = self._inflight_keys.get(key)
+        with self._lock:
+            lane = self._lanes.get(job_id)
+        if lane is None:
+            future.set_exception(SchedulerClosed(f"job {job_id!r} is not registered"))
+            return future
+        if lane.gate is not None:
+            lane.gate.acquire()
+        request = _Request(lane, fn, future, key, transform)
+        error: ReproError | None = None
+        with self._lock:
+            if lane.cancelled:
+                error = JobCancelledError(job_id)
+            elif self._draining:
+                error = SchedulerClosed("scheduler is draining; request rejected")
+            else:
+                lane.submitted += 1
+                self._pending += 1
+                self._idle.clear()
+                primary = self._inflight_keys.get(key) if key is not None else None
                 if primary is not None:
-                    primary.followers.append(
-                        _Follower(job_id, fn, future, transform)
-                    )
-                    target.submitted += 1
-                    return
-            request = _Request(fn, future, key=key)
-            if key is not None:
-                self._inflight_keys[key] = request
-            target.queue.append(request)
-            target.submitted += 1
-            self._idle.clear()
-            assert self._wakeup is not None
-            self._wakeup.set()
-
-        self._loop.call_soon_threadsafe(_enqueue)
+                    primary.followers.append(request)
+                else:
+                    if key is not None:
+                        self._inflight_keys[key] = request
+                    lane.queue.append(request)
+        if error is not None:
+            if lane.gate is not None:
+                lane.gate.release()
+            future.set_exception(error)
+            return future
+        self._start(self._claim())
         return future
 
     def cancel_job(self, job_id: str) -> int:
@@ -421,63 +352,42 @@ class FairScheduler:
         In-flight evaluations are left to finish: a tool run is not
         preemptible, and its result is still a store/memo asset.
         """
-
-        def _cancel() -> int:
+        with self._lock:
             lane = self._lanes.get(job_id)
             if lane is None:
                 return 0
             lane.cancelled = True
-            dropped = 0
-            while lane.queue:
-                request = lane.queue.popleft()
-                self._release(lane)
-                if request.future.set_running_or_notify_cancel():
-                    request.future.set_exception(JobCancelledError(job_id))
-                # Another lane's followers riding on this primary are not
-                # cancelled — the front survivor is promoted in its place.
-                self._drop_primary(request)
-                dropped += 1
-            # Followers of *this* job attached to other lanes' primaries
-            # fail fast too (the shared run itself keeps going — it is
-            # some other tenant's answer).
+            queued = list(lane.queue)
+            lane.queue.clear()
+            # Followers of *this* job attached to any primary fail fast
+            # too (another lane's shared run keeps going — it is some
+            # other tenant's answer).
+            riders: list[_Request] = []
             for primary in self._inflight_keys.values():
-                kept: list[_Follower] = []
-                for follower in primary.followers:
-                    if follower.job_id != job_id:
-                        kept.append(follower)
-                        continue
-                    self._release(lane)
-                    if follower.future.set_running_or_notify_cancel():
-                        follower.future.set_exception(JobCancelledError(job_id))
-                    dropped += 1
-                primary.followers = kept
-            lane.dropped += dropped
-            self._check_idle()
-            return dropped
-
-        return self._call(_cancel)
+                riders += [f for f in primary.followers if f.lane is lane]
+                primary.followers = [
+                    f for f in primary.followers if f.lane is not lane
+                ]
+            lane.dropped += len(queued) + len(riders)
+        dead = queued + riders
+        # Another lane's followers riding on a dropped primary are not
+        # cancelled — the front survivor is promoted in its place.
+        for request in queued:
+            dead += self._drop(request)
+        _fail(dead)
+        self._settle(dead)
+        self._start(self._claim())
+        return len(queued) + len(riders)
 
     def drain(self, timeout: float | None = None) -> bool:
         """Stop intake and wait until every accepted request resolved."""
-
-        def _seal() -> None:
+        with self._lock:
             self._draining = True
-            self._check_idle()
-
-        self._call(_seal)
         return self._idle.wait(timeout)
 
     def close(self, timeout: float | None = None) -> bool:
-        """Drain, then stop the loop thread and the worker pool."""
+        """Drain, then stop the worker pool."""
         drained = self.drain(timeout)
-
-        def _stop() -> None:
-            self._closed = True
-            assert self._wakeup is not None
-            self._wakeup.set()
-
-        self._call(_stop)
-        self._thread.join(timeout)
         self._executor.shutdown(wait=True)
         return drained
 
@@ -487,22 +397,13 @@ class FairScheduler:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def load(self) -> dict[str, Any]:
-        """The cheap utilization snapshot the admission controller reads."""
-
-        def _load() -> dict[str, Any]:
-            return {
-                "in_flight": self._in_flight,
-                "capacity": self.capacity,
-                "coalesced_hits": self._coalesced_total,
-            }
-
-        return self._call(_load)
-
     def stats(self) -> dict[str, Any]:
-        """Point-in-time snapshot (consistent: taken on the loop thread)."""
+        """Point-in-time snapshot (consistent: taken under the lock).
 
-        def _snapshot() -> dict[str, Any]:
+        ``in_flight``, ``capacity`` and ``coalesced_hits`` are the
+        utilization signals the admission controller reads.
+        """
+        with self._lock:
             return {
                 "capacity": self.capacity,
                 "in_flight": self._in_flight,
@@ -526,5 +427,3 @@ class FairScheduler:
                     for job_id, lane in self._lanes.items()
                 },
             }
-
-        return self._call(_snapshot)

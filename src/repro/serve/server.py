@@ -153,7 +153,7 @@ class DseServer:
             return self.jobs_done + self.jobs_failed + self.jobs_cancelled
 
     def _signals(self) -> AdmissionSignals:
-        load = self.scheduler.load()
+        load = self.scheduler.stats()
         fleet = self.fleet.stats()
         warm = (
             int(fleet["memo_hits"])
@@ -246,7 +246,7 @@ class DseServer:
             thread.join()
         self._reap_runners()
         self._final_fleet_stats = self.fleet.stats()
-        self._final_coalesced = int(self.scheduler.load()["coalesced_hits"])
+        self._final_coalesced = int(self.scheduler.stats()["coalesced_hits"])
         self.scheduler.close()
         self.fleet.close()
 
@@ -367,7 +367,7 @@ class DseServer:
         if self._final_coalesced is not None:
             coalesced = self._final_coalesced
         else:
-            coalesced = int(self.scheduler.load()["coalesced_hits"])
+            coalesced = int(self.scheduler.stats()["coalesced_hits"])
         return {
             "jobs_done": done,
             "jobs_failed": failed,

@@ -1,7 +1,7 @@
 """Shared utilities: RNG plumbing, timing, tables, plots, session IO."""
 
 from repro.util.rng import as_generator, spawn_child, stable_hash_seed
-from repro.util.timing import Stopwatch, SoftDeadline
+from repro.util.timing import SoftDeadline
 from repro.util.tables import render_table
 from repro.util.units import mhz_from_ns, ns_from_mhz, format_mhz
 from repro.util.plots import Series, pareto_plot, scatter_plot
@@ -10,7 +10,6 @@ __all__ = [
     "as_generator",
     "spawn_child",
     "stable_hash_seed",
-    "Stopwatch",
     "SoftDeadline",
     "render_table",
     "mhz_from_ns",

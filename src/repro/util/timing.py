@@ -1,4 +1,4 @@
-"""Wall-clock helpers: stopwatches and soft deadlines.
+"""Wall-clock helpers: soft deadlines.
 
 The paper runs its cv32e40p DSE "with a four hour soft deadline to the
 genetic algorithm": the GA finishes the current generation once the deadline
@@ -11,58 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-__all__ = ["Stopwatch", "SoftDeadline"]
-
-
-class Stopwatch:
-    """Accumulating stopwatch with independent named splits.
-
-    Used by the flow facade to attribute runtime to synthesis vs
-    implementation vs estimation, which the ablation benchmarks report.
-    """
-
-    def __init__(self) -> None:
-        self._splits: dict[str, float] = {}
-        self._started: dict[str, float] = {}
-
-    def start(self, name: str) -> None:
-        self._started[name] = time.perf_counter()
-
-    def stop(self, name: str) -> float:
-        """Stop split ``name``; returns the elapsed seconds of this interval."""
-        begin = self._started.pop(name, None)
-        if begin is None:
-            raise KeyError(f"split {name!r} was never started")
-        elapsed = time.perf_counter() - begin
-        self._splits[name] = self._splits.get(name, 0.0) + elapsed
-        return elapsed
-
-    def add(self, name: str, seconds: float) -> None:
-        """Credit ``seconds`` to split ``name`` without a timer (simulated cost)."""
-        if seconds < 0:
-            raise ValueError("cannot add negative time")
-        self._splits[name] = self._splits.get(name, 0.0) + seconds
-
-    def total(self, name: str) -> float:
-        return self._splits.get(name, 0.0)
-
-    def totals(self) -> dict[str, float]:
-        return dict(self._splits)
-
-    class _Ctx:
-        def __init__(self, sw: "Stopwatch", name: str) -> None:
-            self._sw = sw
-            self._name = name
-
-        def __enter__(self) -> None:
-            self._sw.start(self._name)
-
-        def __exit__(self, *exc: object) -> None:
-            self._sw.stop(self._name)
-
-    def measure(self, name: str) -> "Stopwatch._Ctx":
-        """Context manager: ``with sw.measure("synth"): ...``."""
-        return Stopwatch._Ctx(self, name)
+__all__ = ["SoftDeadline"]
 
 
 @dataclass

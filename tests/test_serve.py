@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import threading
 import time
 from pathlib import Path
@@ -43,6 +44,17 @@ def _lock_order_sanitizer():
     edge of the static S003 lock graph."""
     with lock_order_guard():
         yield
+
+
+@pytest.fixture
+def fast_thread_switching():
+    """Switch threads every 10 µs so interleavings surface in a short run."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(previous)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +334,141 @@ class TestFairScheduler:
                 future.result(10)
             assert order.count("slow") == order.count("fast") == 4
             assert all(a != b for a, b in zip(order, order[1:])), order
+
+    def test_starts_no_thread_of_its_own(self):
+        """A monitor, not a loop: construction starts no dispatcher
+        thread, and the pool spawns its workers only on demand."""
+        before = {t.ident for t in threading.enumerate()}
+        sched = FairScheduler(capacity=2)
+        try:
+            names = [t.name for t in threading.enumerate()]
+            assert "dse-scheduler" not in names
+            assert {t.ident for t in threading.enumerate()} <= before
+        finally:
+            sched.close()
+
+    def test_stress_every_future_resolves(self, fast_thread_switching):
+        """~1,000 zero-work requests from three concurrent producers at
+        capacity 2, mixing shared keys and transforms, with one lane
+        cancelled mid-stream.  Two blockers hold the pool until every
+        request is queued, so releasing them drains one long chain of
+        instantly finishing requests: that must not grow the stack.
+        Every future resolves to its value, its transformed value or a
+        cancellation, capacity holds, and drain returns only once every
+        accepted future is done."""
+        per_lane = 334
+        sched = FairScheduler(capacity=2)
+        for job in ("A", "B", "C"):
+            sched.register_job(job, slots=2)
+        release = threading.Event()
+        blockers = [sched.submit("A", lambda: release.wait(30)) for _ in range(2)]
+        submitted: dict[str, list] = {"A": [], "B": [], "C": []}
+        halfway, cancelled_c = threading.Event(), threading.Event()
+
+        def produce(job: str) -> None:
+            for i in range(per_lane):
+                key = ("point", i % 5) if i % 2 else None
+                transform = (lambda v: ("shared", v)) if i % 4 == 1 else None
+                raw = key if key is not None else (job, i)
+                future = sched.submit(
+                    job, lambda raw=raw: raw, key=key, transform=transform
+                )
+                submitted[job].append((future, raw, transform))
+                if job == "C" and i == per_lane // 2:
+                    halfway.set()
+                    assert cancelled_c.wait(30)
+
+        producers = [
+            threading.Thread(target=produce, args=(job,)) for job in submitted
+        ]
+        for thread in producers:
+            thread.start()
+        assert halfway.wait(30)
+        # C's queued primaries carry A and B followers: those are promoted.
+        assert sched.cancel_job("C") > 0
+        cancelled_c.set()
+        for thread in producers:
+            thread.join(30)
+            assert not thread.is_alive()
+        assert sched.stats()["queue_depth"] > 0
+        release.set()
+        assert sched.drain(30) is True
+        everything = [entry for entries in submitted.values() for entry in entries]
+        assert len(everything) == 3 * per_lane
+        assert all(future.done() for future, _, _ in everything)
+        assert all(blocker.result(0) is True for blocker in blockers)
+        cancelled = 0
+        for job, entries in submitted.items():
+            for future, raw, transform in entries:
+                error = future.exception(0)
+                assert not isinstance(error, RecursionError)
+                if error is not None:
+                    assert job == "C" and isinstance(error, JobCancelledError)
+                    cancelled += 1
+                    continue
+                # A coalesced follower sees the primary's result through
+                # its own transform; a request that ran sees its own value.
+                allowed = [raw] if transform is None else [raw, transform(raw)]
+                assert future.result(0) in allowed
+        # All of C's first half was still queued at the cancel, and
+        # everything C submitted after it was rejected.
+        assert cancelled == per_lane
+        stats = sched.stats()
+        assert stats["peak_in_flight"] <= 2
+        assert stats["in_flight"] == 0 and stats["queue_depth"] == 0
+        assert stats["coalesced_hits"] > 0
+        # No lost update: every accepted request is counted exactly once,
+        # as run, coalesced or dropped.
+        for job in stats["jobs"].values():
+            assert job["completed"] + job["coalesced"] + job["dropped"] == (
+                job["submitted"]
+            )
+        sched.close()
+
+    def test_drain_waits_for_a_running_follower_transform(self):
+        """The slot and the idle state are released only after every
+        future of a finished request resolved, transforms included."""
+        with FairScheduler(capacity=1) as sched:
+            sched.register_job("A", slots=1)
+            sched.register_job("B", slots=1)
+            gate, in_transform, release = (threading.Event() for _ in range(3))
+
+            def slow_transform(value):
+                in_transform.set()
+                release.wait(10)
+                return value + 1
+
+            sched.submit("A", lambda: gate.wait(10) and 1, key="k")
+            follower = sched.submit(
+                "B", lambda: 0, key="k", transform=slow_transform
+            )
+            gate.set()
+            assert in_transform.wait(10)
+            assert sched.drain(0.2) is False, "drained ahead of a result"
+            release.set()
+            assert sched.drain(10) is True
+            assert follower.result(0) == 2
+
+    def test_same_key_submit_while_resolving_runs_afresh(self):
+        """A finished primary unpublishes its key before resolving, so a
+        same-key submit made as its future resolves becomes a new primary
+        instead of attaching to one nobody will resolve again."""
+        sched = FairScheduler(capacity=1)
+        sched.register_job("A", slots=1)
+        gate = threading.Event()
+        again: list = []
+        first = sched.submit("A", lambda: gate.wait(10) and 1, key="k")
+        first.add_done_callback(
+            lambda _: again.append(sched.submit("A", lambda: 2, key="k"))
+        )
+        gate.set()
+        try:
+            assert first.result(10) == 1
+            assert again[0].result(10) == 2
+        finally:
+            # Bounded: a follower stranded on a finished primary would
+            # otherwise keep the drain waiting forever.
+            sched.close(timeout=1)
 
 
 # ---------------------------------------------------------------------------

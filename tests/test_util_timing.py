@@ -1,44 +1,8 @@
-"""Tests for stopwatches and soft deadlines."""
+"""Tests for soft deadlines."""
 
 import pytest
 
-from repro.util.timing import SoftDeadline, Stopwatch
-
-
-class TestStopwatch:
-    def test_start_stop_accumulates(self):
-        sw = Stopwatch()
-        sw.start("a")
-        elapsed = sw.stop("a")
-        assert elapsed >= 0
-        assert sw.total("a") == pytest.approx(elapsed)
-
-    def test_stop_unstarted_raises(self):
-        with pytest.raises(KeyError):
-            Stopwatch().stop("nope")
-
-    def test_add_simulated_time(self):
-        sw = Stopwatch()
-        sw.add("synth", 30.0)
-        sw.add("synth", 12.5)
-        assert sw.total("synth") == pytest.approx(42.5)
-
-    def test_add_negative_rejected(self):
-        with pytest.raises(ValueError):
-            Stopwatch().add("x", -1.0)
-
-    def test_context_manager(self):
-        sw = Stopwatch()
-        with sw.measure("block"):
-            pass
-        assert sw.total("block") >= 0
-        assert "block" in sw.totals()
-
-    def test_independent_splits(self):
-        sw = Stopwatch()
-        sw.add("a", 1.0)
-        sw.add("b", 2.0)
-        assert sw.totals() == {"a": 1.0, "b": 2.0}
+from repro.util.timing import SoftDeadline
 
 
 class TestSoftDeadline:
