@@ -52,19 +52,10 @@ def check_unresolved_instance(ctx: RuleContext) -> Iterator[Violation]:
     "The instantiation graph contains a cycle; the design cannot elaborate.",
 )
 def check_recursive_instantiation(ctx: RuleContext) -> Iterator[Violation]:
-    import networkx as nx
+    from repro.hdl.hierarchy import Hierarchy
 
-    from repro.hdl.hierarchy import Hierarchy, extract_instances
-
-    hierarchy = Hierarchy()
-    for name in ctx.known_modules:
-        hierarchy.add_module(name)
-    for source, language in ctx.sources:
-        for inst in extract_instances(source, language):
-            hierarchy.add(inst)
-    try:
-        cycle = nx.find_cycle(hierarchy.graph)
-    except nx.NetworkXNoCycle:
-        return
-    chain = " -> ".join(edge[0] for edge in cycle) + f" -> {cycle[-1][1]}"
-    yield Violation(f"recursive instantiation: {chain}", module=cycle[0][0])
+    cycle = Hierarchy.from_sources(ctx.sources, ctx.known_modules).find_cycle()
+    if cycle is not None:
+        yield Violation(
+            f"recursive instantiation: {' -> '.join(cycle)}", module=cycle[0]
+        )

@@ -377,6 +377,7 @@ def _make_session(args: argparse.Namespace, need_space: bool) -> DseSession:
         target_period_ns=args.period_ns,
         step=FlowStep(args.step),
         seed=args.seed,
+        incremental=getattr(args, "incremental", False),
         refit_every=getattr(args, "refit_every", 1),
         refit_gamma_drift=getattr(args, "refit_gamma_drift", None),
         result_store=getattr(args, "result_store", None),

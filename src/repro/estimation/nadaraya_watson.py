@@ -71,10 +71,6 @@ class NadarayaWatson:
         assert self._y_min is not None and self._y_span is not None
         return y_norm * self._y_span + self._y_min
 
-    def predict_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.vstack([self.predict(x) for x in X])
-
     # ------------------------------------------------------------------
 
     def normalize(self, Y: np.ndarray) -> np.ndarray:

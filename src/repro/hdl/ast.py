@@ -76,12 +76,6 @@ class PortType:
         lo = self.low.render() if self.low is not None else "0"
         return f"{self.base}({self.high.render()} {direction} {lo})"
 
-    def render_verilog(self) -> str:
-        if self.high is None:
-            return self.base
-        lo = self.low.render() if self.low is not None else "0"
-        return f"{self.base} [{self.high.render()}:{lo}]"
-
 
 @dataclass(frozen=True)
 class Parameter:

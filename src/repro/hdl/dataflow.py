@@ -7,9 +7,10 @@ Into a port range, a generate condition, a child instance's generic, the
 body at all?  This module answers it in two layers:
 
 1. :func:`scan_bodies` — a tolerant token-level pass over module /
-   architecture bodies (the same Lexer/Cursor machinery the hierarchy
-   extractor uses) that collects, per design unit:
+   architecture bodies (the repository's only body scanner) that
+   collects, per design unit:
 
+   - every child instantiation site (the RTL hierarchy's edges),
    - every identifier referenced in the body (liveness evidence),
    - ``if (...)``-generate conditions as parsed expressions,
    - child-instance generic bindings (``#(.W(DEPTH*2))`` /
@@ -26,7 +27,8 @@ body at all?  This module answers it in two layers:
    port 'raddr'`` makes ``DEPTH`` interface-live even though no port
    range names it directly.
 
-The D-series rules (:mod:`repro.analysis.dataflow_rules`) consume both.
+The D-series rules (:mod:`repro.analysis.dataflow_rules`) consume both;
+:mod:`repro.hdl.hierarchy` builds the design tree from the instances.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from repro.errors import ParseError
 from repro.hdl import expr as E
 from repro.hdl.ast import HdlLanguage, Module
 from repro.hdl.cursor import Cursor
-from repro.hdl.hierarchy import _VERILOG_STMT_WORDS
 from repro.hdl.lexer import Lexer, TokenKind, VERILOG_LEX, VHDL_LEX
 from repro.hdl.verilog_parser import VerilogParser
 from repro.hdl.vhdl_parser import VhdlParser
@@ -47,6 +48,7 @@ if TYPE_CHECKING:
     import networkx as nx
 
 __all__ = [
+    "Instance",
     "GenerateCondition",
     "GenericBinding",
     "BodyScan",
@@ -56,6 +58,15 @@ __all__ = [
     "ParameterDependencyGraph",
     "build_dependency_graph",
 ]
+
+
+@dataclass(frozen=True)
+class Instance:
+    """One instantiation site: ``parent`` contains ``label : target``."""
+
+    parent: str
+    label: str
+    target: str
 
 
 @dataclass(frozen=True)
@@ -88,6 +99,7 @@ class BodyScan:
     """Everything one design unit's body revealed about parameter use."""
 
     module: str
+    instances: tuple[Instance, ...] = ()
     generate_conditions: tuple[GenerateCondition, ...] = ()
     generic_bindings: tuple[GenericBinding, ...] = ()
     body_idents: frozenset[str] = frozenset()  # lowercase
@@ -98,6 +110,7 @@ class _ScanBuilder:
 
     def __init__(self, module: str) -> None:
         self.module = module
+        self.instances: list[Instance] = []
         self.conditions: list[GenerateCondition] = []
         self.bindings: list[GenericBinding] = []
         self.idents: set[str] = set()
@@ -108,6 +121,7 @@ class _ScanBuilder:
     def finish(self) -> BodyScan:
         return BodyScan(
             module=self.module,
+            instances=tuple(self.instances),
             generate_conditions=tuple(self.conditions),
             generic_bindings=tuple(self.bindings),
             body_idents=frozenset(self.idents),
@@ -120,14 +134,24 @@ class _ScanBuilder:
 
 _V_PROC_OPENERS = {"always", "always_ff", "always_comb", "always_latch",
                    "initial", "final"}
-# Words that are structure, not references — excluded from liveness evidence.
-_V_NOISE = (
-    _VERILOG_STMT_WORDS
-    | _V_PROC_OPENERS
-    | {"endmodule", "join", "join_any", "join_none", "fork", "iff", "inside",
-       "automatic", "static", "edge", "or", "and", "not", "macromodule",
-       "covergroup", "endgroup", "clocking", "endclocking", "interface"}
-)
+# Words that are structure, not references: excluded from liveness
+# evidence, and never an instance's type or label (gate primitives such
+# as ``and g1 (y, a, b);`` instantiate no module).
+_V_NOISE = _V_PROC_OPENERS | {
+    "assign", "wire", "reg", "logic", "bit", "integer", "int", "genvar",
+    "real", "time", "parameter", "localparam", "input", "output", "inout",
+    "if", "else", "for", "while", "case", "casex", "casez", "begin", "end",
+    "endcase", "endgenerate", "generate", "function", "endfunction", "task",
+    "endtask", "typedef", "enum", "struct", "import", "defparam", "specify",
+    "endspecify", "posedge", "negedge", "module", "endmodule", "macromodule",
+    "signed", "unsigned", "supply0", "supply1", "tri", "var", "return",
+    "unique", "priority", "default", "assert", "property", "cover",
+    "sequence", "string", "byte", "shortint", "longint", "join", "join_any",
+    "join_none", "fork", "iff", "inside", "automatic", "static", "edge",
+    "covergroup", "endgroup", "clocking", "endclocking", "interface",
+    "and", "nand", "or", "nor", "xor", "xnor", "not", "buf", "bufif0",
+    "bufif1", "notif0", "notif1",
+}
 
 
 def _collect_group(cur: Cursor, builder: _ScanBuilder) -> bool:
@@ -193,9 +217,8 @@ def _scan_verilog_module(cur: Cursor, name: str, line: int) -> BodyScan:
             continue
         word = tok.text.lower()
         if word == "endmodule":
-            cur.accept_op(":")  # endmodule : name
-            if cur.peek().kind == TokenKind.IDENT:
-                cur.next()
+            if cur.accept_op(":") and cur.peek().kind == TokenKind.IDENT:
+                cur.next()  # endmodule : name
             break
         if word in _V_PROC_OPENERS:
             pending_proc = True
@@ -275,6 +298,7 @@ def _scan_verilog_module(cur: Cursor, name: str, line: int) -> BodyScan:
             except ParseError:
                 matched = False
             if matched:
+                builder.instances.append(Instance(name, label_tok.text, tok.text))
                 for formal, value in bindings:
                     builder.bindings.append(
                         GenericBinding(
@@ -389,10 +413,12 @@ def _parse_vhdl_generic_map(
 
 def _scan_vhdl_statement(
     cur: Cursor, builder: _ScanBuilder, target: str, label: str, line: int
-) -> None:
+) -> bool:
     """Scan one concurrent statement after ``label : target`` up to ``;``,
-    harvesting ``generic map`` associations and identifier references."""
+    harvesting ``generic map`` associations and identifier references.
+    Returns whether the statement has a ``generic map`` / ``port map``."""
     depth = 0
+    mapped = False
     while not cur.at_eof():
         tok = cur.peek()
         if tok.is_op("("):
@@ -401,13 +427,15 @@ def _scan_vhdl_statement(
             continue
         if tok.is_op(")"):
             if depth == 0:
-                return
+                return mapped
             depth -= 1
             cur.next()
             continue
         if depth == 0 and tok.is_op(";"):
             cur.next()
-            return
+            return mapped
+        if depth == 0 and tok.is_ident("map"):
+            mapped = True
         if (
             depth == 0
             and tok.is_ident("generic")
@@ -418,10 +446,12 @@ def _scan_vhdl_statement(
             cur.next()
             cur.next()
             _parse_vhdl_generic_map(cur, builder, target, label, line)
+            mapped = True
             continue
         if tok.kind == TokenKind.IDENT:
             _vhdl_collect_ident(builder, tok.text)
         cur.next()
+    return mapped
 
 
 def _scan_vhdl(source: str) -> list[BodyScan]:
@@ -496,6 +526,7 @@ def _scan_vhdl(source: str) -> list[BodyScan]:
                         target = cur.next().text
                     else:
                         break
+                builder.instances.append(Instance(builder.module, label, target))
                 _scan_vhdl_statement(cur, builder, target, label, tok.line)
                 continue
             if nxt.is_ident("component"):
@@ -503,15 +534,21 @@ def _scan_vhdl(source: str) -> list[BodyScan]:
                 if cur.peek().kind != TokenKind.IDENT:
                     continue
                 target = cur.next().text
+                builder.instances.append(Instance(builder.module, label, target))
                 _scan_vhdl_statement(cur, builder, target, label, tok.line)
                 continue
             if (
                 nxt.kind == TokenKind.IDENT
                 and nxt.text.lower() not in _VHDL_NOISE
             ):
+                # A bare ``label : name`` is a component instantiation only
+                # when a ``generic map`` / ``port map`` confirms it.
                 target = cur.next().text
                 _vhdl_collect_ident(builder, target)
-                _scan_vhdl_statement(cur, builder, target, label, tok.line)
+                if _scan_vhdl_statement(cur, builder, target, label, tok.line):
+                    builder.instances.append(
+                        Instance(builder.module, label, target)
+                    )
                 continue
             continue
         _vhdl_collect_ident(builder, tok.text)

@@ -159,13 +159,6 @@ class SourceCollection:
     vhdl_library: dict[str, str] = field(default_factory=dict)
 
     @classmethod
-    def from_files(cls, paths: Iterable[str | Path], root: str | Path | None = None) -> "SourceCollection":
-        coll = cls()
-        for p in paths:
-            coll.add_file(p, root=root)
-        return coll
-
-    @classmethod
     def from_sources(
         cls, sources: Iterable[tuple[str, HdlLanguage | str]]
     ) -> "SourceCollection":

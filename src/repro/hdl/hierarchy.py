@@ -2,14 +2,16 @@
 
 Dovado starts "from an RTL hierarchy": the user hands over a design tree
 and picks a (possibly non-top) module to explore.  The interface parsers
-skip bodies, so hierarchy comes from a dedicated lightweight pass that
-scans module/architecture bodies for instantiations:
+skip bodies; the instantiation sites come from the body scan of
+:func:`repro.hdl.dataflow.scan_bodies`, the same pass the dataflow rules
+read:
 
 - **VHDL** — direct entity instantiation (``label : entity work.name``)
-  and component instantiation (``label : comp_name port map (...)``);
-- **Verilog/SV** — module instantiation (``type [#(..)] label (..);``) at
-  module-body depth 0 (generate regions are descended into, since their
-  instances exist in the elaborated design).
+  and component instantiation (``label : component name`` or a bare
+  ``label : name`` confirmed by a ``generic map`` / ``port map``);
+- **Verilog/SV** — module instantiation (``type [#(..)] label (..);``)
+  outside procedural code (generate regions are descended into, since
+  their instances exist in the elaborated design).
 
 The result is a :class:`Hierarchy`: a directed multigraph of
 module→submodule edges with instance labels, top candidates (modules never
@@ -20,12 +22,11 @@ a tree rendering for reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import HdlError
 from repro.hdl.ast import HdlLanguage
-from repro.hdl.cursor import Cursor
-from repro.hdl.lexer import Lexer, TokenKind, VERILOG_LEX, VHDL_LEX
+from repro.hdl.dataflow import Instance, scan_bodies
 
 if TYPE_CHECKING:
     import networkx as nx
@@ -33,167 +34,9 @@ if TYPE_CHECKING:
 __all__ = ["Instance", "Hierarchy", "extract_instances", "build_hierarchy"]
 
 
-@dataclass(frozen=True)
-class Instance:
-    """One instantiation site: ``parent`` contains ``label : target``."""
-
-    parent: str
-    label: str
-    target: str
-
-
-# Verilog words that can open a statement but never name an instance type.
-_VERILOG_STMT_WORDS = {
-    "assign", "always", "always_ff", "always_comb", "always_latch",
-    "initial", "final", "wire", "reg", "logic", "bit", "integer", "int",
-    "genvar", "real", "time", "parameter", "localparam", "input", "output",
-    "inout", "if", "else", "for", "while", "case", "casex", "casez",
-    "begin", "end", "endcase", "endgenerate", "generate", "function",
-    "endfunction", "task", "endtask", "typedef", "enum", "struct", "import",
-    "defparam", "specify", "endspecify", "posedge", "negedge", "module",
-    "endmodule", "signed", "unsigned", "supply0", "supply1", "tri", "var",
-    "return", "unique", "priority", "default", "assert", "property",
-    "cover", "sequence", "string", "byte", "shortint", "longint",
-}
-
-
-def _verilog_instances(source: str) -> list[Instance]:
-    toks = Lexer(source, VERILOG_LEX).tokens()
-    cur = Cursor(toks)
-    out: list[Instance] = []
-    current_module: str | None = None
-    while not cur.at_eof():
-        tok = cur.next()
-        if tok.is_ident("module", "macromodule"):
-            current_module = cur.expect_ident("module name").text
-            # skip header to the closing `;`
-            cur.skip_until_op(";")
-            cur.accept_op(";")
-            continue
-        if tok.is_ident("endmodule"):
-            current_module = None
-            continue
-        if current_module is None or tok.kind != TokenKind.IDENT:
-            continue
-        word = tok.text.lower()
-        if word in _VERILOG_STMT_WORDS:
-            continue
-        # Candidate instance type. Accept:  type [#(...)] label ( ... ) ;
-        mark = cur.mark()
-        if cur.accept_op("#"):
-            if not cur.accept_op("("):
-                cur.rewind(mark)
-                continue
-            cur.skip_until_op(")")
-            if not cur.accept_op(")"):
-                cur.rewind(mark)
-                continue
-        label_tok = cur.peek()
-        if label_tok.kind != TokenKind.IDENT or label_tok.text.lower() in _VERILOG_STMT_WORDS:
-            cur.rewind(mark)
-            continue
-        cur.next()
-        # optional instance array range: label [3:0] ( ... )
-        if cur.accept_op("["):
-            cur.skip_until_op("]")
-            if not cur.accept_op("]"):
-                cur.rewind(mark)
-                continue
-        if not cur.accept_op("("):
-            cur.rewind(mark)
-            continue
-        cur.skip_until_op(")")
-        if not cur.accept_op(")"):
-            cur.rewind(mark)
-            continue
-        if not cur.accept_op(";"):
-            cur.rewind(mark)
-            continue
-        out.append(
-            Instance(parent=current_module, label=label_tok.text, target=tok.text)
-        )
-    return out
-
-
-def _vhdl_instances(source: str) -> list[Instance]:
-    toks = Lexer(source, VHDL_LEX).tokens()
-    cur = Cursor(toks)
-    out: list[Instance] = []
-    current_arch_entity: str | None = None
-    while not cur.at_eof():
-        tok = cur.next()
-        if tok.is_ident("architecture"):
-            cur.expect_ident("architecture name")
-            if cur.accept_kw("of"):
-                current_arch_entity = cur.expect_ident("entity name").text
-                cur.accept_kw("is")
-            continue
-        if tok.is_ident("end"):
-            nxt = cur.peek()
-            if nxt.is_ident("architecture"):
-                current_arch_entity = None
-            continue
-        if current_arch_entity is None or tok.kind != TokenKind.IDENT:
-            continue
-        # label : entity [lib.]name  |  label : comp_name ... port map
-        if not cur.peek().is_op(":"):
-            continue
-        label = tok.text
-        mark = cur.mark()
-        cur.next()  # ':'
-        nxt = cur.peek()
-        if nxt.is_ident("entity"):
-            cur.next()
-            name = cur.expect_ident("entity name").text
-            while cur.accept_op("."):
-                name = cur.expect_ident("selected entity name").text
-            # strip optional (architecture) spec
-            if cur.accept_op("("):
-                cur.skip_until_op(")")
-                cur.accept_op(")")
-            out.append(Instance(parent=current_arch_entity, label=label, target=name))
-            continue
-        if nxt.is_ident("component"):
-            cur.next()
-            name = cur.expect_ident("component name").text
-            out.append(Instance(parent=current_arch_entity, label=label, target=name))
-            continue
-        if nxt.kind == TokenKind.IDENT and not nxt.is_ident(
-            "process", "block", "for", "if", "signal", "variable", "constant",
-            "begin", "function", "procedure", "type", "subtype", "attribute",
-        ):
-            # Possible component instantiation: confirm by a following
-            # `generic map` / `port map` before the terminating `;`.
-            name = cur.next().text
-            confirmed = False
-            depth = 0
-            while not cur.at_eof():
-                t = cur.peek()
-                if t.is_op("("):
-                    depth += 1
-                elif t.is_op(")"):
-                    depth -= 1
-                elif depth == 0 and t.is_op(";"):
-                    break
-                elif depth == 0 and t.is_ident("map"):
-                    confirmed = True
-                cur.next()
-            if confirmed:
-                out.append(
-                    Instance(parent=current_arch_entity, label=label, target=name)
-                )
-            else:
-                cur.rewind(mark)
-                cur.next()  # re-consume ':' so scanning advances
-    return out
-
-
 def extract_instances(source: str, language: HdlLanguage | str) -> list[Instance]:
     """Scan ``source`` for instantiation sites."""
-    language = HdlLanguage(language)
-    if language == HdlLanguage.VHDL:
-        return _vhdl_instances(source)
-    return _verilog_instances(source)
+    return [i for scan in scan_bodies(source, language) for i in scan.instances]
 
 
 def _multidigraph() -> nx.MultiDiGraph:
@@ -233,15 +76,21 @@ class Hierarchy:
             n for n in self.graph.nodes if self.graph.in_degree(n) == 0
         )
 
-    def check_acyclic(self) -> None:
+    def find_cycle(self) -> list[str] | None:
+        """One instantiation cycle as a module chain that ends where it
+        starts (``[a, b, a]``), or None when the tree is acyclic."""
         import networkx as nx
 
         try:
             cycle = nx.find_cycle(self.graph)
         except nx.NetworkXNoCycle:
-            return
-        chain = " -> ".join(e[0] for e in cycle) + f" -> {cycle[-1][1]}"
-        raise HdlError(f"recursive instantiation: {chain}")
+            return None
+        return [e[0] for e in cycle] + [cycle[-1][1]]
+
+    def check_acyclic(self) -> None:
+        cycle = self.find_cycle()
+        if cycle is not None:
+            raise HdlError(f"recursive instantiation: {' -> '.join(cycle)}")
 
     def subtree(self, module: str) -> set[str]:
         """All modules reachable from ``module`` (itself included)."""
@@ -269,17 +118,27 @@ class Hierarchy:
         walk(root.lower(), "", 0)
         return "\n".join(lines)
 
+    @classmethod
+    def from_sources(
+        cls,
+        sources: Iterable[tuple[str, HdlLanguage | str]],
+        known_modules: Iterable[str] = (),
+    ) -> Hierarchy:
+        """The (unchecked) hierarchy of a source set."""
+        h = cls()
+        for name in known_modules:
+            h.add_module(name)
+        for source, language in sources:
+            for inst in extract_instances(source, language):
+                h.add(inst)
+        return h
+
 
 def build_hierarchy(
     sources: list[tuple[str, HdlLanguage | str]],
     known_modules: list[str] | None = None,
 ) -> Hierarchy:
     """Build the hierarchy of a source set; checks for recursion."""
-    h = Hierarchy()
-    for name in known_modules or []:
-        h.add_module(name)
-    for source, language in sources:
-        for inst in extract_instances(source, language):
-            h.add(inst)
+    h = Hierarchy.from_sources(sources, known_modules or ())
     h.check_acyclic()
     return h

@@ -378,8 +378,3 @@ def _is_base_digit(ch: str, base: int) -> bool:
         return int(ch, base) < base
     except ValueError:
         return False
-
-
-def tokenize(source: str, config: LexerConfig) -> list[Token]:
-    """Convenience wrapper: lex ``source`` under ``config``."""
-    return Lexer(source, config).tokens()

@@ -46,9 +46,6 @@ class Checkpoint:
             },
         )
 
-    def matches_structure(self, netlist: Netlist) -> bool:
-        return self.structure_fingerprint == netlist.structure_fingerprint()
-
     def matches_content(self, netlist: Netlist) -> bool:
         return self.content_fingerprint == netlist.content_fingerprint()
 

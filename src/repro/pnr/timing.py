@@ -58,9 +58,6 @@ class TimingResult:
     def met(self) -> bool:
         return self.wns_ns >= 0.0
 
-    def achievable_period_ns(self) -> float:
-        return self.critical_delay_ns
-
 
 def analyze_timing(
     netlist: Netlist,

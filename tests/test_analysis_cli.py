@@ -146,6 +146,19 @@ class TestDesignSweep:
         )
         assert code == 0
 
+    def test_dead_parameter_of_module_after_endmodule(self, tmp_path, capsys):
+        two = tmp_path / "two.v"
+        two.write_text(
+            "module child(input wire clk); endmodule\n"
+            "module top #(parameter USED = 2, parameter DEAD = 3)(\n"
+            "  input wire clk, output wire [USED-1:0] q);\n"
+            "  child u_child (.clk(clk));\n"
+            "endmodule\n"
+        )
+        main(["lint", str(two), "--top", "top", "--no-box"])
+        out = capsys.readouterr().out
+        assert "D001" in out and "DEAD" in out
+
     def test_eval_surfaces_drc_error(self, bad_file, capsys):
         # The eval flow hits the evaluator's gate and reports, exit 1.
         code = main(

@@ -145,6 +145,14 @@ class TestCommands:
         assert args.refit_every == 8
         assert args.refit_gamma_drift == 0.05
 
+    def test_dse_incremental_flag_reaches_the_evaluator(self):
+        from repro.core.cli import _make_session
+
+        args = build_parser().parse_args(
+            ["dse", "--design", "cv32e40p-fifo", "--incremental"]
+        )
+        assert _make_session(args, True).evaluator.incremental
+
     def test_dse_mosa_algorithm(self, capsys):
         rc = main([
             "dse", "--design", "corundum-cqm", "--generations", "2",

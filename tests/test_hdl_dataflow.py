@@ -82,6 +82,19 @@ class TestVerilogScan:
         assert scan_for("WIDGET", sources) is not None
         assert scan_for("nonexistent", sources) is None
 
+    def test_module_after_endmodule_is_scanned(self):
+        source = (
+            "module child(input logic a); endmodule\n"
+            "module top #(parameter P = 1)(input logic a);\n"
+            "  child u_child (.a(a));\n"
+            "endmodule\n"
+        )
+        scan = scan_for("top", ((source, "systemverilog"),))
+        assert scan is not None
+        assert [(i.label, i.target) for i in scan.instances] == [
+            ("u_child", "child")
+        ]
+
 
 class TestVhdlScan:
     def test_generate_condition_and_generic_map(self):

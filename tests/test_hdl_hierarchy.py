@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import DesignRuleChecker
 from repro.errors import HdlError
 from repro.hdl.hierarchy import build_hierarchy, extract_instances
 
@@ -68,6 +69,18 @@ class TestVerilogExtraction:
         fifo = [i for i in instances if i.label == "u_fifo"]
         assert fifo and fifo[0].target == "fifo"
 
+    def test_gate_primitive_is_not_an_instance(self):
+        gates = """
+        module gates(output wire y, input wire a, input wire b);
+          and g1 (y, a, b);
+        endmodule
+        """
+        assert extract_instances(gates, "verilog") == []
+        result = DesignRuleChecker().check_sources(
+            [(gates, "verilog")], known_modules=["gates"]
+        )
+        assert "H001" not in result.codes()
+
 
 class TestVhdlExtraction:
     def test_entity_instantiations(self):
@@ -84,6 +97,15 @@ class TestVhdlExtraction:
     def test_process_not_an_instance(self):
         instances = extract_instances(VHDL, "vhdl")
         assert all(i.label != "P0" for i in instances)
+
+    def test_unnamed_end_architecture(self):
+        source = VHDL.replace("end architecture rtl;", "end architecture;")
+        instances = extract_instances(source, "vhdl")
+        assert {(i.parent, i.label, i.target) for i in instances} == {
+            ("top", "U0", "child"),
+            ("top", "U1", "child"),
+            ("top", "U2", "legacy_comp"),
+        }
 
 
 class TestHierarchy:
@@ -120,6 +142,20 @@ class TestHierarchy:
         """
         with pytest.raises(HdlError, match="recursive"):
             build_hierarchy([(recursive, "verilog")])
+
+    def test_h002_reports_the_hierarchy_cycle(self):
+        recursive = """
+        module a(input wire clk); b u_b(.clk(clk)); endmodule
+        module b(input wire clk); a u_a(.clk(clk)); endmodule
+        """
+        with pytest.raises(HdlError) as raised:
+            build_hierarchy([(recursive, "verilog")])
+        result = DesignRuleChecker().check_sources(
+            [(recursive, "verilog")], known_modules=["a", "b"]
+        )
+        [finding] = [f for f in result if f.code == "H002"]
+        assert finding.message == str(raised.value)
+        assert finding.message == "recursive instantiation: a -> b -> a"
 
     def test_mixed_language_hierarchy(self):
         mixed_verilog = """
