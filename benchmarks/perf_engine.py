@@ -32,12 +32,13 @@ Seven experiments prove the engine and chart its perf trajectory:
   below the routed Fmax, for every feasible compared point (``sound`` is
   1.0 exactly or the bench raises).
 - **Serve throughput** — ``jobs`` identical tenants served to completion
-  under the fixed admission stagger with per-spec-lock members and no
-  coalescing, then under adaptive AIMD admission with event-driven
-  claiming and single-flight coalescing.  Fronts must be byte-identical
-  to the standalone session both ways and the tenants' combined
-  tool-run bill must equal the one serial bill; the adaptive run must
-  be ≥1.3× faster end to end under emulated tool latency.
+  under the fixed admission stagger at ``capacity=1`` (one evaluation
+  at a time), then under adaptive AIMD admission with event-driven
+  claiming at ``capacity=4``; both runs single-flight identical points.
+  Fronts must be byte-identical to the standalone session both ways and
+  the tenants' combined tool-run bill must equal the one serial bill;
+  the adaptive run must be ≥1.3× faster end to end under emulated tool
+  latency.
 - **Refit policy** — inserting n tool results into the control model with
   the per-insert LOO rescan (``RefitPolicy(every=1)``, the original
   behaviour) versus the incremental policy (periodic rescan + Γ-drift
@@ -562,23 +563,23 @@ def serve_bench(
     poll_interval_s: float = 0.05,
     min_speedup: float | None = 1.3,
 ) -> dict:
-    """Serve throughput: fixed/uncoalesced vs adaptive/coalesced admission.
+    """Serve throughput: fixed at capacity 1 vs adaptive at capacity 4.
 
     ``jobs`` identical tenants are queued up front and served to
     completion twice, each from a fresh service root: once under the
-    classic fixed admission stagger with per-spec-lock members and no
-    coalescing (the previously shipped shape), once under adaptive AIMD
-    admission with event-driven claiming, concurrent members, and
-    single-flight coalescing.  Emulated tool latency stands in for the
-    external tool process, so schedule quality — not the benchmark
-    host's core count — sets the wall clock.
+    classic fixed admission stagger with one evaluation slot (serialized
+    serving, the baseline), once under adaptive AIMD admission with
+    event-driven claiming and four concurrent slots.  Every served point
+    is single-flighted in both runs.  Emulated tool latency stands in
+    for the external tool process, so schedule quality — not the
+    benchmark host's core count — sets the wall clock.
 
     Correctness bars (both modes, host-independent): every job's front
     is byte-identical to the standalone serial session, and the tenants'
     combined tool-run bill equals the one serial bill — overlapping
     identical points resolve from memo/store/coalescing, never as a
-    second tool run.  The adaptive/coalesced run must then be
-    ``min_speedup``× faster end to end.
+    second tool run.  The adaptive run must then be ``min_speedup``×
+    faster end to end.
     """
     import json as _json
     from pathlib import Path as _Path
@@ -597,17 +598,16 @@ def serve_bench(
         tuple(sorted(p.as_row().items())) for p in reference.pareto
     )
 
-    def serve_once(admission: str, coalesce: bool) -> dict:
+    def serve_once(admission: str, capacity: int) -> dict:
         root = tempfile.mkdtemp(prefix="veda-serve-bench-")
         try:
             server = DseServer(
                 root,
-                capacity=4,
+                capacity=capacity,
                 shards=4,
                 slots_per_job=2,
                 poll_interval_s=poll_interval_s,
                 admission=admission,
-                coalesce=coalesce,
                 emulate_tool_latency=tool_latency,
             )
             records = [server.queue.submit(spec) for _ in range(jobs)]
@@ -627,13 +627,13 @@ def serve_bench(
                 )
                 assert front == reference_front, (
                     f"{design_name}: served front ({admission}, "
-                    f"coalesce={coalesce}) diverged from the standalone "
+                    f"capacity={capacity}) diverged from the standalone "
                     "session"
                 )
                 tool_runs += done.stats["tool_runs"]
             assert tool_runs == reference.tool_runs, (
                 f"{design_name}: {jobs} tenants paid {tool_runs} tool runs "
-                f"({admission}, coalesce={coalesce}); the combined bill "
+                f"({admission}, capacity={capacity}); the combined bill "
                 f"must equal the one serial bill of {reference.tool_runs}"
             )
             return {
@@ -645,15 +645,15 @@ def serve_bench(
         finally:
             shutil.rmtree(root, ignore_errors=True)
 
-    baseline = serve_once("fixed", coalesce=False)
-    adaptive = serve_once("adaptive", coalesce=True)
+    baseline = serve_once("fixed", capacity=1)
+    adaptive = serve_once("adaptive", capacity=4)
     speedup = (
         baseline["wall_s"] / adaptive["wall_s"] if adaptive["wall_s"] else None
     )
     if min_speedup is not None and speedup is not None:
         assert speedup >= min_speedup, (
-            f"{design_name}: adaptive+coalesced serving must be >="
-            f"{min_speedup}x over the fixed/uncoalesced baseline at "
+            f"{design_name}: adaptive serving at capacity 4 must be >="
+            f"{min_speedup}x over fixed serving at capacity 1 at "
             f"jobs={jobs}, got {speedup:.2f}x"
         )
     return {

@@ -13,8 +13,8 @@ the invariants ``repro.serve`` and ``repro.cache`` depend on:
   an exception between acquire and release leaks the lock forever.
 - **S003** — lock-order cycles in the statically-built acquisition graph
   across ``threading.Lock`` / ``asyncio.Lock`` / flock sites, seeded with
-  the known fleet-lock → member-lock → store-flock ordering
-  (:data:`SEEDED_LOCK_ORDER`).
+  the known fleet-lock → store-flock and member-state-lock → store-flock
+  orderings (:data:`SEEDED_LOCK_ORDER`).
 - **S004** — read-modify-write of an attribute shared between roles
   (scheduler-loop callbacks vs executor/job threads vs callers) with no
   dominating lock acquisition: a lost-update race.  Once every writer of
@@ -1458,22 +1458,12 @@ def _dedupe(violations: list[Violation]) -> list[Violation]:
 # the lock graph (shared with the runtime sanitizer)
 # --------------------------------------------------------------------------
 
-#: Known orderings the static walk cannot fully recover (the member locks
-#: are handed to :class:`~repro.serve.fleet.SchedulerBoundEvaluator` as
-#: plain constructor arguments): fleet registry lock strictly precedes any
-#: member lock, and a member evaluation holds its member lock across store
-#: appends (which take the store's flock).
+#: Known orderings the static walk cannot fully recover (the store and
+#: the telemetry sinks are reached through inherited methods and context
+#: lookups): opening a member's store handle happens under the fleet
+#: registry lock, and a member's state lock is held across its store
+#: appends, ledger entries and counter bumps.
 SEEDED_LOCK_ORDER: tuple[tuple[str, str, str], ...] = (
-    (
-        "repro/serve/fleet.py::EvaluatorFleet._lock",
-        "repro/serve/fleet.py::EvaluatorFleet._member_locks[]",
-        "the fleet registry lock is released before any member lock is taken",
-    ),
-    (
-        "repro/serve/fleet.py::EvaluatorFleet._member_locks[]",
-        "repro/cache/store.py::ResultStore.<flock>",
-        "a member evaluation holds its member lock across store appends",
-    ),
     (
         "repro/serve/fleet.py::EvaluatorFleet._lock",
         "repro/cache/store.py::ResultStore.<flock>",
@@ -1494,16 +1484,6 @@ SEEDED_LOCK_ORDER: tuple[tuple[str, str, str], ...] = (
         "repro/serve/fleet.py::_ConcurrentMember._state_lock",
         "repro/observe/counters.py::Counters._lock",
         "telemetry counters are bumped under the member state lock",
-    ),
-    (
-        "repro/serve/fleet.py::EvaluatorFleet._member_locks[]",
-        "repro/observe/ledger.py::RunLedger._lock",
-        "the legacy member-lock path ledgers while holding the member lock",
-    ),
-    (
-        "repro/serve/fleet.py::EvaluatorFleet._member_locks[]",
-        "repro/observe/counters.py::Counters._lock",
-        "the legacy member-lock path counts while holding the member lock",
     ),
 )
 

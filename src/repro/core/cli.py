@@ -74,7 +74,7 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _risk_float(text: str) -> float:
+def _unit_interval_float(text: str) -> float:
     value = float(text)
     if not 0.0 < value < 1.0:
         raise argparse.ArgumentTypeError(f"must be in (0, 1), got {value}")
@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "step only; control-model dataset inserts "
                             "always run the full flow, so the gate engages "
                             "on --no-model evaluations)")
-    p_dse.add_argument("--gate-risk", type=_risk_float, default=0.05,
+    p_dse.add_argument("--gate-risk", type=_unit_interval_float, default=0.05,
                        help="per-metric miss probability the gate's "
                             "conformal error band targets (default 0.05; "
                             "lower = wider band = fewer skips)")
@@ -295,13 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--root", required=True, metavar="DIR",
                          help="service root (queue/, store/, results/ live "
                               "here; touch <root>/STOP for graceful drain)")
-    p_serve.add_argument("--capacity", type=int, default=4,
+    p_serve.add_argument("--capacity", type=_positive_int, default=4,
                          help="evaluation worker threads shared by all jobs "
                               "(default 4)")
-    p_serve.add_argument("--shards", type=int, default=8,
+    p_serve.add_argument("--shards", type=_positive_int, default=8,
                          help="shard count when creating the shared store "
                               "(default 8; an existing store keeps its own)")
-    p_serve.add_argument("--slots", type=int, default=2,
+    p_serve.add_argument("--slots", type=_positive_int, default=2,
                          help="max concurrent evaluations per job (default 2)")
     p_serve.add_argument("--max-idle", type=_positive_float, default=None,
                          metavar="SECONDS",
@@ -325,13 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="N",
                          help="adaptive mode: claim-budget ceiling per pass "
                               "(default 8)")
-    p_serve.add_argument("--admission-backoff", type=float, default=0.5,
-                         metavar="FACTOR",
+    p_serve.add_argument("--admission-backoff", type=_unit_interval_float,
+                         default=0.5, metavar="FACTOR",
                          help="adaptive mode: multiplicative budget decrease "
                               "on saturation, in (0, 1) (default 0.5)")
-    p_serve.add_argument("--no-coalesce", action="store_true",
-                         help="disable single-flight coalescing of identical "
-                              "in-flight evaluations across tenants")
     p_serve.add_argument("--trace", metavar="FILE",
                          help="enable telemetry: write a JSONL trace to FILE "
                               "and print the summary at shutdown")
@@ -708,7 +705,6 @@ def _dispatch(args: argparse.Namespace) -> int:
                 max_claim=args.max_claim,
                 backoff=args.admission_backoff,
             ),
-            coalesce=not args.no_coalesce,
         )
         tel = _start_trace(args)
         print(f"serving from {args.root} "

@@ -3,7 +3,7 @@
 The ROADMAP's north-star item: many concurrent DSE sessions, one shared
 evaluation backend, so one tenant's Vivado-equivalent run is every
 tenant's cache hit (the sharing economics Simopt and CRADLE motivate —
-see PAPERS.md).  Four pieces, mirroring scrapy's engine/scheduler/
+see PAPERS.md).  The pieces mirror scrapy's engine/scheduler/
 downloader split:
 
 - :mod:`repro.serve.jobs` — the job spec/record vocabulary.
@@ -15,7 +15,9 @@ downloader split:
 - :mod:`repro.serve.fleet` — :class:`EvaluatorFleet`, one shared
   evaluator per spec over the sharded store, plus the
   :class:`SchedulerBoundEvaluator` facade sessions bind via
-  ``ApproximateFitness.set_batch_evaluator``.
+  ``ApproximateFitness.set_batch_evaluator``.  Every served point goes
+  to the scheduler under its single-flight key; serialized serving is
+  a ``capacity=1`` scheduler, not a separate mode.
 - :mod:`repro.serve.admission` — the claim-admission controllers:
   :class:`FixedAdmission` (the classic one-claim-per-tick stagger) and
   :class:`AdaptiveAdmission` (AIMD over utilization + warm-hit ratio,

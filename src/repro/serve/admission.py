@@ -100,7 +100,7 @@ class AdaptiveAdmission:
     - **Back off** (``budget *= backoff``, floored at 1) when the pool is
       saturated (``utilization >= util_high``) or the window ran mostly
       cold tool dispatches (``warm ratio < warm_low`` with at least one
-      fresh run) — admitting more tenants then only deepens the convoy.
+      fresh run) — admitting more tenants then only deepens the queue.
     - **Otherwise grow** (``budget += increase``, capped at
       ``max_claim``): the pool has headroom and overlapping tenants are
       resolving each other's points from memo/store/coalescing, so the

@@ -17,11 +17,10 @@ counters) lives behind a short-critical-section ``_state_lock`` that is
 configurations proceed in parallel up to the scheduler's capacity.
 Identical configurations never race: the scheduler single-flights them
 by evaluation cache key, turning N concurrent tenants on one point into
-one executor slot plus N-1 coalesced answers.  (Earlier releases instead
-serialized *every* evaluation sharing a spec behind one member mutex —
-the per-spec lock convoy; that path survives as the coalescing-off
-reference for benchmarks, and as the required mode for incremental
-specs, whose results are order-dependent.)
+one executor slot plus N-1 coalesced answers.  Serialized serving is a
+``capacity=1`` scheduler, not a separate evaluation mode.  Incremental
+specs are refused: their results depend on evaluation order, which a
+shared member cannot promise.
 
 :class:`SchedulerBoundEvaluator` is the facade a session binds via
 ``ApproximateFitness.set_batch_evaluator``: it exposes the same
@@ -69,9 +68,7 @@ class _ConcurrentMember(ParallelPointEvaluator):
     Identical configurations must not race through the fresh path — the
     caller (the scheduler's single-flight table, keyed on exactly this
     member's memo key) guarantees at most one in-flight evaluation per
-    key.  The inherited serial ``evaluate_many`` path remains available
-    for callers that hold the member lock (the legacy convoy mode and
-    incremental specs).
+    key.
     """
 
     def __init__(self, spec: EvaluatorSpec, store: Any = None) -> None:
@@ -116,27 +113,15 @@ class _ConcurrentMember(ParallelPointEvaluator):
 
 
 class EvaluatorFleet:
-    """One shared evaluator (plus legacy serial lock) per spec."""
+    """One shared evaluator per spec."""
 
-    def __init__(
-        self,
-        store_root: str | None = None,
-        shards: int = 8,
-        single_flight: bool = True,
-    ) -> None:
+    def __init__(self, store_root: str | None = None, shards: int = 8) -> None:
         self.store_root = store_root
         self.shards = shards
-        #: When False every facade uses the legacy per-spec-lock convoy —
-        #: the uncoalesced reference mode throughput benchmarks compare
-        #: against.  Incremental specs use it regardless.
-        self.single_flight = single_flight
         self._lock = threading.Lock()
         self._members: dict[EvaluatorSpec, _ConcurrentMember] = {}
-        self._member_locks: dict[EvaluatorSpec, threading.Lock] = {}
 
-    def _member(
-        self, spec: EvaluatorSpec
-    ) -> tuple[_ConcurrentMember, threading.Lock]:
+    def _member(self, spec: EvaluatorSpec) -> _ConcurrentMember:
         with self._lock:
             evaluator = self._members.get(spec)
             if evaluator is None:
@@ -152,18 +137,18 @@ class EvaluatorFleet:
                     store = open_store(self.store_root, shards=self.shards)
                 evaluator = _ConcurrentMember(spec, store=store)
                 self._members[spec] = evaluator
-                self._member_locks[spec] = threading.Lock()
-            return evaluator, self._member_locks[spec]
+            return evaluator
 
     def bind(
         self, scheduler: FairScheduler, job_id: str, spec: EvaluatorSpec
     ) -> "SchedulerBoundEvaluator":
         """The facade a job's session plugs into its fitness."""
-        evaluator, lock = self._member(spec)
-        single_flight = self.single_flight and not spec.incremental
-        return SchedulerBoundEvaluator(
-            scheduler, job_id, evaluator, lock, single_flight=single_flight
-        )
+        if spec.incremental:
+            raise ValueError(
+                "incremental specs cannot be served: their results depend "
+                "on evaluation order, which a shared fleet member cannot keep"
+            )
+        return SchedulerBoundEvaluator(scheduler, job_id, self._member(spec))
 
     def specs(self) -> list[EvaluatorSpec]:
         with self._lock:
@@ -186,7 +171,6 @@ class EvaluatorFleet:
         with self._lock:
             members = list(self._members.values())
             self._members.clear()
-            self._member_locks.clear()
         for member in members:
             member.close()
 
@@ -231,28 +215,18 @@ class SchedulerBoundEvaluator:
     Owned by the server — ``close()`` here only detaches; the member
     evaluator and its memo live on for the next tenant.
 
-    In single-flight mode (the default for non-incremental specs) each
-    point is submitted under its evaluation cache key: concurrent
+    Each point is submitted under its evaluation cache key: concurrent
     duplicates across tenants coalesce onto one executor slot, and this
     tenant's copy of a run another lane paid for comes back cache-priced
-    with a ``coalesced`` ledger origin.  With ``single_flight=False`` the
-    facade reproduces the legacy convoy: every evaluation on the spec
-    serializes behind the member lock.
+    with a ``coalesced`` ledger origin.
     """
 
     def __init__(
-        self,
-        scheduler: FairScheduler,
-        job_id: str,
-        member: _ConcurrentMember,
-        member_lock: threading.Lock,
-        single_flight: bool = False,
+        self, scheduler: FairScheduler, job_id: str, member: _ConcurrentMember
     ) -> None:
         self.scheduler = scheduler
         self.job_id = job_id
-        self.single_flight = single_flight
         self._member = member
-        self._member_lock = member_lock
         # Per-tenant attribution (the member's own counters are shared
         # across every job on the spec): what *this* job's requests cost.
         # Bumped from executor threads (own runs and coalesced transforms).
@@ -267,19 +241,14 @@ class SchedulerBoundEvaluator:
         futures: list[Future[Any]] = []
         for p in points:
             params = {k: int(v) for k, v in p.items()}
-            if self.single_flight:
-                futures.append(
-                    self.scheduler.submit(
-                        self.job_id,
-                        self._one_concurrent(params),
-                        key=(id(self._member), freeze_params(params)),
-                        transform=self._coalesced(params),
-                    )
+            futures.append(
+                self.scheduler.submit(
+                    self.job_id,
+                    self._primary(params),
+                    key=(id(self._member), freeze_params(params)),
+                    transform=self._coalesced(params),
                 )
-            else:
-                futures.append(
-                    self.scheduler.submit(self.job_id, self._one(params))
-                )
+            )
         return ScheduledBatch(futures)
 
     def _tally(self, result: Any, fresh: bool) -> None:
@@ -291,7 +260,7 @@ class SchedulerBoundEvaluator:
             else:
                 self.cache_hits += 1
 
-    def _one_concurrent(self, params: dict[str, int]) -> Callable[[], Any]:
+    def _primary(self, params: dict[str, int]) -> Callable[[], Any]:
         def run() -> Any:
             result, origin = self._member.evaluate_point(params)
             self._tally(result, fresh=origin == "tool")
@@ -320,40 +289,10 @@ class SchedulerBoundEvaluator:
 
         return transform
 
-    def _one(self, params: dict[str, int]) -> Callable[[], Any]:
-        def run() -> Any:
-            # Legacy convoy mode: the member's memo/in-flight/tool state
-            # is treated as single-threaded, so the mutex serializes
-            # every tenant sharing the spec — the first tenant's run is
-            # the second tenant's memo hit, one evaluation at a time.
-            with self._member_lock:
-                before = self._member.dispatched
-                result = self._member.evaluate_many([params], on_error="return")[0]
-                self._tally(result, fresh=self._member.dispatched > before)
-                return result
-
-        return run
-
     def evaluate_many(
         self, points: Sequence[Mapping[str, int]], on_error: str = "raise"
     ) -> list[Any]:
         return self.submit_many(points).results(on_error)
-
-    @property
-    def memo(self) -> dict[str, Any]:
-        return self._member.memo
-
-    @property
-    def store_hits(self) -> int:
-        return self._member.store_hits
-
-    @property
-    def memo_hits(self) -> int:
-        return self._member.memo_hits
-
-    @property
-    def dispatched(self) -> int:
-        return self._member.dispatched
 
     def tenant_stats(self) -> dict[str, int | float]:
         """This job's own economics over the shared member."""

@@ -91,6 +91,14 @@ class DseServer:
         coalesce: bool = True,
         emulate_tool_latency: float = 0.0,
     ) -> None:
+        # ``coalesce`` survives only as a keyword existing callers pass
+        # as True: every served point is single-flighted.
+        if not coalesce:
+            raise ValueError(
+                "coalesce=False is not supported: every served point is "
+                "single-flighted; serve with capacity=1 for serialized "
+                "evaluation"
+            )
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.queue = FileJobQueue(self.root / "queue")
@@ -103,7 +111,6 @@ class DseServer:
         if isinstance(admission, str):
             admission = make_admission(admission, poll_interval_s)
         self.admission = admission
-        self.coalesce = coalesce
         #: Real seconds slept per simulated tool second on fresh runs —
         #: the serve-throughput benchmark's stand-in for external tool
         #: latency.  0 (the default) disables it.
@@ -112,11 +119,7 @@ class DseServer:
             capacity=capacity,
             max_pending=max_pending if max_pending is not None else 4 * capacity,
         )
-        self.fleet = EvaluatorFleet(
-            store_root=str(self.store_root),
-            shards=shards,
-            single_flight=coalesce,
-        )
+        self.fleet = EvaluatorFleet(store_root=str(self.store_root), shards=shards)
         self.jobs_done = 0
         self.jobs_failed = 0
         self.jobs_cancelled = 0

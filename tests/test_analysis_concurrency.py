@@ -520,7 +520,6 @@ class TestSelfAnalysis:
         graph = static_lock_graph(collect_py_sources())
         for symbol in (
             "repro/serve/fleet.py::EvaluatorFleet._lock",
-            "repro/serve/fleet.py::EvaluatorFleet._member_locks[]",
             "repro/cache/store.py::ResultStore.<flock>",
             "repro/serve/queue.py::FileJobQueue.<flock>",
             "repro/serve/server.py::DseServer._counters_lock",

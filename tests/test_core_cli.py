@@ -319,3 +319,51 @@ class TestResultStoreCli:
         from repro.cache import ResultStore
 
         assert len(ResultStore(store)) > 0
+
+
+class TestServeCli:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--capacity", "0"),
+            ("--capacity", "-2"),
+            ("--slots", "0"),
+            ("--shards", "0"),
+            ("--admission-backoff", "1.5"),
+            ("--admission-backoff", "0"),
+            ("--admission-backoff", "1"),
+        ],
+    )
+    def test_bad_option_is_a_usage_error(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "serve", "--root", str(tmp_path / "svc"), "--max-idle", "0.2",
+                flag, value,
+            ])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_no_coalesce_is_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "serve", "--root", str(tmp_path / "svc"), "--max-idle", "0.2",
+                "--no-coalesce",
+            ])
+        assert exc.value.code == 2
+
+    def test_zero_slots_leaves_the_queued_job_queued(self, tmp_path):
+        from repro.serve import FileJobQueue, JobState
+
+        root = tmp_path / "svc"
+        assert main([
+            "submit", "--root", str(root), "--design", "cv32e40p-fifo",
+            "--generations", "1", "--population", "4",
+        ]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "serve", "--root", str(root), "--slots", "0",
+                "--stop-after", "1", "--max-idle", "0.2",
+            ])
+        assert exc.value.code == 2
+        (job,) = FileJobQueue(root / "queue").jobs()
+        assert job.state == JobState.QUEUED

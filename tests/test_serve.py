@@ -691,6 +691,20 @@ class TestEvaluatorFleet:
             assert len(fleet.specs()) == 1
         fleet.close()
 
+    def test_incremental_spec_is_refused(self):
+        """Incremental results depend on evaluation order, which a shared
+        member cannot keep: binding one fails instead of serializing."""
+        import dataclasses
+
+        spec = dataclasses.replace(self._spec(), incremental=True)
+        fleet = EvaluatorFleet()
+        with FairScheduler(capacity=1) as sched:
+            sched.register_job("A", slots=1)
+            with pytest.raises(ValueError, match="incremental"):
+                fleet.bind(sched, "A", spec)
+            assert fleet.specs() == []
+        fleet.close()
+
 
 # ---------------------------------------------------------------------------
 # DseServer integration (the PR acceptance contract)
@@ -844,6 +858,12 @@ class TestDseServerIntegration:
             f"submit->done took {elapsed:.2f}s with a 5s poll tick: the "
             "wake event did not short-circuit the wait"
         )
+
+    def test_coalescing_cannot_be_turned_off(self, tmp_path):
+        """Serialized serving is ``capacity=1``, not an uncoalesced mode."""
+        with pytest.raises(ValueError, match="capacity=1"):
+            DseServer(tmp_path / "svc", coalesce=False)
+        assert not (tmp_path / "svc").exists()
 
     def test_cancelled_queued_job_never_runs(self, tmp_path):
         server = DseServer(tmp_path / "svc", capacity=1, poll_interval_s=0.05)
