@@ -1,7 +1,10 @@
 """Tests for the dual-dialect lexer."""
 
+from pathlib import Path
+
 import pytest
 
+from repro.core.cli import main
 from repro.errors import LexError
 from repro.hdl.lexer import Lexer, TokenKind, VERILOG_LEX, VHDL_LEX
 
@@ -135,3 +138,45 @@ class TestTokenHelpers:
         tok = vhdl_tokens("(")[0]
         assert tok.is_op("(", ")")
         assert not tok.is_op(";")
+
+
+FIXTURES = Path(__file__).parent / "fixtures" / "lex_errors"
+
+
+class TestLexErrorsNotCrashes:
+    """Bad literals raise LexError at the literal, never KeyError/ValueError."""
+
+    def test_tick_at_end_of_input(self):
+        with pytest.raises(LexError, match="unterminated based literal") as exc:
+            vlog_tokens("x = '")
+        assert (exc.value.line, exc.value.column) == (1, 5)
+
+    @pytest.mark.parametrize("src", ["x = 's", "x = 'S"])
+    def test_signed_tick_without_base(self, src):
+        with pytest.raises(LexError, match="unterminated based literal") as exc:
+            vlog_tokens(src)
+        assert (exc.value.line, exc.value.column) == (1, 5)
+
+    @pytest.mark.parametrize("lex", [vhdl_tokens, vlog_tokens])
+    def test_digit_that_int_rejects(self, lex):
+        with pytest.raises(LexError, match="bad digit in number literal") as exc:
+            lex("x\n  y = ²;")
+        assert (exc.value.line, exc.value.column) == (2, 7)
+
+    @pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.v")))
+    def test_lint_reports_error_not_traceback(self, fixture, capsys):
+        assert main(["lint", str(FIXTURES / fixture)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestUnterminatedColumns:
+    @pytest.mark.parametrize("lex", [vhdl_tokens, vlog_tokens])
+    def test_block_comment_reports_opening_marker(self, lex):
+        with pytest.raises(LexError, match="unterminated block comment") as exc:
+            lex("a\n  b /* never closed")
+        assert (exc.value.line, exc.value.column) == (2, 5)
+
+    def test_attribute_reports_opening_marker(self):
+        with pytest.raises(LexError, match="unterminated attribute instance") as exc:
+            vlog_tokens("wire a;\n   (* keep = 1")
+        assert (exc.value.line, exc.value.column) == (2, 4)
