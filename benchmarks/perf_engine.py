@@ -32,13 +32,12 @@ Seven experiments prove the engine and chart its perf trajectory:
   below the routed Fmax, for every feasible compared point (``sound`` is
   1.0 exactly or the bench raises).
 - **Serve throughput** — ``jobs`` identical tenants served to completion
-  under the fixed admission stagger at ``capacity=1`` (one evaluation
-  at a time), then under adaptive AIMD admission with event-driven
-  claiming at ``capacity=4``; both runs single-flight identical points.
+  by the one claim loop at ``capacity=1`` (one evaluation at a time),
+  then at ``capacity=4``; both runs single-flight identical points.
   Fronts must be byte-identical to the standalone session both ways and
   the tenants' combined tool-run bill must equal the one serial bill;
-  the adaptive run must be ≥1.3× faster end to end under emulated tool
-  latency.
+  the capacity-4 run must be ≥1.3× faster end to end under emulated
+  tool latency.
 - **Refit policy** — inserting n tool results into the control model with
   the per-insert LOO rescan (``RefitPolicy(every=1)``, the original
   behaviour) versus the incremental policy (periodic rescan + Γ-drift
@@ -563,14 +562,13 @@ def serve_bench(
     poll_interval_s: float = 0.05,
     min_speedup: float | None = 1.3,
 ) -> dict:
-    """Serve throughput: fixed at capacity 1 vs adaptive at capacity 4.
+    """Serve throughput: the one claim loop at capacity 1 vs capacity 4.
 
     ``jobs`` identical tenants are queued up front and served to
-    completion twice, each from a fresh service root: once under the
-    classic fixed admission stagger with one evaluation slot (serialized
-    serving, the baseline), once under adaptive AIMD admission with
-    event-driven claiming and four concurrent slots.  Every served point
-    is single-flighted in both runs.  Emulated tool latency stands in
+    completion twice, each from a fresh service root: once with one
+    evaluation slot (serialized serving, the baseline), once with four
+    concurrent slots.  Every served point is single-flighted in both
+    runs.  Emulated tool latency stands in
     for the external tool process, so schedule quality — not the
     benchmark host's core count — sets the wall clock.
 
@@ -578,7 +576,7 @@ def serve_bench(
     is byte-identical to the standalone serial session, and the tenants'
     combined tool-run bill equals the one serial bill — overlapping
     identical points resolve from memo/store/coalescing, never as a
-    second tool run.  The adaptive run must then be ``min_speedup``×
+    second tool run.  The capacity-4 run must then be ``min_speedup``×
     faster end to end.
     """
     import json as _json
@@ -598,7 +596,7 @@ def serve_bench(
         tuple(sorted(p.as_row().items())) for p in reference.pareto
     )
 
-    def serve_once(admission: str, capacity: int) -> dict:
+    def serve_once(capacity: int) -> dict:
         root = tempfile.mkdtemp(prefix="veda-serve-bench-")
         try:
             server = DseServer(
@@ -607,7 +605,6 @@ def serve_bench(
                 shards=4,
                 slots_per_job=2,
                 poll_interval_s=poll_interval_s,
-                admission=admission,
                 emulate_tool_latency=tool_latency,
             )
             records = [server.queue.submit(spec) for _ in range(jobs)]
@@ -626,34 +623,32 @@ def serve_bench(
                     tuple(sorted(row.items())) for row in payload["pareto"]
                 )
                 assert front == reference_front, (
-                    f"{design_name}: served front ({admission}, "
-                    f"capacity={capacity}) diverged from the standalone "
-                    "session"
+                    f"{design_name}: served front (capacity={capacity}) "
+                    "diverged from the standalone session"
                 )
                 tool_runs += done.stats["tool_runs"]
             assert tool_runs == reference.tool_runs, (
                 f"{design_name}: {jobs} tenants paid {tool_runs} tool runs "
-                f"({admission}, capacity={capacity}); the combined bill "
+                f"(capacity={capacity}); the combined bill "
                 f"must equal the one serial bill of {reference.tool_runs}"
             )
             return {
                 "wall_s": wall,
                 "tool_runs": tool_runs,
                 "coalesced_hits": stats["coalesced_hits"],
-                "admission": stats["admission"],
             }
         finally:
             shutil.rmtree(root, ignore_errors=True)
 
-    baseline = serve_once("fixed", capacity=1)
-    adaptive = serve_once("adaptive", capacity=4)
+    baseline = serve_once(capacity=1)
+    concurrent = serve_once(capacity=4)
     speedup = (
-        baseline["wall_s"] / adaptive["wall_s"] if adaptive["wall_s"] else None
+        baseline["wall_s"] / concurrent["wall_s"] if concurrent["wall_s"] else None
     )
     if min_speedup is not None and speedup is not None:
         assert speedup >= min_speedup, (
-            f"{design_name}: adaptive serving at capacity 4 must be >="
-            f"{min_speedup}x over fixed serving at capacity 1 at "
+            f"{design_name}: serving at capacity 4 must be >="
+            f"{min_speedup}x over serving at capacity 1 at "
             f"jobs={jobs}, got {speedup:.2f}x"
         )
     return {
@@ -664,11 +659,10 @@ def serve_bench(
         "tool_latency": tool_latency,
         "poll_interval_s": poll_interval_s,
         "serial_tool_runs": reference.tool_runs,
-        "combined_tool_runs": adaptive["tool_runs"],
-        "coalesced_hits": adaptive["coalesced_hits"],
-        "admission_decisions": adaptive["admission"]["decisions"],
+        "combined_tool_runs": concurrent["tool_runs"],
+        "coalesced_hits": concurrent["coalesced_hits"],
         "baseline_wall_s": round(baseline["wall_s"], 4),
-        "adaptive_wall_s": round(adaptive["wall_s"], 4),
+        "concurrent_wall_s": round(concurrent["wall_s"], 4),
         "speedup": round(speedup, 3) if speedup else None,
         "identical": True,
     }

@@ -10,9 +10,9 @@ bitwise identity against the serial cold-cache references throughout
 * per-insert vs incremental control-model refits at paper-scale n=300,
 * ungated vs speculative multi-fidelity gated exploration (simulated
   seconds cut vs hypervolume regret of the reported front),
-* serialized (capacity 1, fixed admission) vs concurrent (capacity 4,
-  adaptive admission) DSE serving of overlapping tenants, single-flight
-  coalesced both ways (identical fronts, one combined tool-run bill,
+* serialized (capacity 1) vs concurrent (capacity 4) DSE serving of
+  overlapping tenants by the one claim loop, single-flight coalesced
+  both ways (identical fronts, one combined tool-run bill,
   wall-clock throughput under emulated tool latency).
 
 The timing payload lands in ``BENCH_perf_engine.json`` at the repo root
@@ -22,8 +22,8 @@ The acceptance bars are the *host-independent* ones: the warm store must
 cut tool runs ≥5×, out-of-order scheduling must be ≥1.3× under emulated
 tool latency, the incremental refit policy must be ≥3× faster at n=300,
 the fidelity gate must cut simulated tool seconds ≥2× at ≤1%
-hypervolume regret, and adaptive serving at capacity 4 must be ≥1.3×
-over fixed serving at capacity 1 under emulated tool latency.  Pool
+hypervolume regret, and serving at capacity 4 must be ≥1.3× over
+serving at capacity 1 under emulated tool latency.  Pool
 wall-clock speedup is recorded but not thresholded — CI
 boxes with one core cannot show it, and the pool's correctness
 (bitwise-identical fronts and cost accounting) is the part that must
@@ -94,9 +94,9 @@ def test_perf_engine(benchmark):
          "cap-1 s", "cap-4 s", "speedup", "identical"),
         [(serve["design"], serve["jobs"], serve["serial_tool_runs"],
           serve["combined_tool_runs"], serve["coalesced_hits"],
-          serve["baseline_wall_s"], serve["adaptive_wall_s"],
+          serve["baseline_wall_s"], serve["concurrent_wall_s"],
           f"{serve['speedup']}x", "yes")],
-        title="Perf — DSE service, fixed at capacity 1 vs adaptive at capacity 4",
+        title="Perf — DSE service, capacity 1 vs capacity 4",
     )
     emit("perf_engine", text)
 
@@ -127,6 +127,6 @@ def test_perf_engine(benchmark):
         "tenants must together pay exactly one serial tool-run bill"
     )
     assert serve["speedup"] >= 1.3, (
-        f"adaptive serving at capacity 4 must be >=1.3x over fixed "
-        f"serving at capacity 1, got {serve['speedup']}x"
+        f"serving at capacity 4 must be >=1.3x over serving at "
+        f"capacity 1, got {serve['speedup']}x"
     )

@@ -312,23 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
                                            "tests; default: run until STOP)")
     p_serve.add_argument("--poll-interval", type=_positive_float, default=0.2,
                          metavar="SECONDS",
-                         help="queue poll period (default 0.2; also the "
-                              "admission stagger between job claims)")
-    p_serve.add_argument("--admission", choices=("fixed", "adaptive"),
-                         default="fixed",
-                         help="claim-admission mode: 'fixed' claims one job "
-                              "per poll tick; 'adaptive' runs an AIMD claim "
-                              "budget over fleet utilization + warm-hit "
-                              "ratio and wakes on queue submits instead of "
-                              "polling (default fixed)")
-    p_serve.add_argument("--max-claim", type=_positive_int, default=8,
-                         metavar="N",
-                         help="adaptive mode: claim-budget ceiling per pass "
-                              "(default 8)")
-    p_serve.add_argument("--admission-backoff", type=_unit_interval_float,
-                         default=0.5, metavar="FACTOR",
-                         help="adaptive mode: multiplicative budget decrease "
-                              "on saturation, in (0, 1) (default 0.5)")
+                         help="claim-loop heartbeat (default 0.2): cancel "
+                              "markers, STOP and submits from other "
+                              "processes are seen within this period")
     p_serve.add_argument("--trace", metavar="FILE",
                          help="enable telemetry: write a JSONL trace to FILE "
                               "and print the summary at shutdown")
@@ -691,7 +677,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "serve":
-        from repro.serve import DseServer, make_admission
+        from repro.serve import DseServer
 
         server = DseServer(
             args.root,
@@ -699,17 +685,10 @@ def _dispatch(args: argparse.Namespace) -> int:
             shards=args.shards,
             slots_per_job=args.slots,
             poll_interval_s=args.poll_interval,
-            admission=make_admission(
-                args.admission,
-                args.poll_interval,
-                max_claim=args.max_claim,
-                backoff=args.admission_backoff,
-            ),
         )
         tel = _start_trace(args)
         print(f"serving from {args.root} "
-              f"(capacity={args.capacity}, shards={args.shards}, "
-              f"admission={args.admission}; "
+              f"(capacity={args.capacity}, shards={args.shards}; "
               f"touch {Path(args.root) / 'STOP'} to drain)")
         try:
             stats = server.serve_forever(

@@ -18,25 +18,16 @@ downloader split:
   ``ApproximateFitness.set_batch_evaluator``.  Every served point goes
   to the scheduler under its single-flight key; serialized serving is
   a ``capacity=1`` scheduler, not a separate mode.
-- :mod:`repro.serve.admission` — the claim-admission controllers:
-  :class:`FixedAdmission` (the classic one-claim-per-tick stagger) and
-  :class:`AdaptiveAdmission` (AIMD over utilization + warm-hit ratio,
-  with event-driven submit wake-ups).
-- :mod:`repro.serve.server` — :class:`DseServer`, the serve loop tying
-  them together.
+- :mod:`repro.serve.server` — :class:`DseServer`, the one event-driven
+  claim loop tying them together: each pass claims every queued job,
+  and the scheduler's backpressure, not a pacing policy, bounds the
+  evaluation work.
 
 The service never changes answers: a job's front is byte-identical to
 the same session run standalone; only *who pays* for each tool run
 differs.
 """
 
-from repro.serve.admission import (
-    AdaptiveAdmission,
-    AdmissionDecision,
-    AdmissionSignals,
-    FixedAdmission,
-    make_admission,
-)
 from repro.serve.fleet import EvaluatorFleet, ScheduledBatch, SchedulerBoundEvaluator
 from repro.serve.jobs import JobRecord, JobSpec, JobState
 from repro.serve.queue import (
@@ -48,14 +39,10 @@ from repro.serve.scheduler import FairScheduler, JobCancelledError, SchedulerClo
 from repro.serve.server import DseServer
 
 __all__ = [
-    "AdaptiveAdmission",
-    "AdmissionDecision",
-    "AdmissionSignals",
     "DseServer",
     "EvaluatorFleet",
     "FairScheduler",
     "FileJobQueue",
-    "FixedAdmission",
     "JobCancelledError",
     "JobRecord",
     "JobSpec",
@@ -64,6 +51,5 @@ __all__ = [
     "SchedulerBoundEvaluator",
     "SchedulerClosed",
     "add_submit_listener",
-    "make_admission",
     "remove_submit_listener",
 ]

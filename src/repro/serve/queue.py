@@ -24,10 +24,11 @@ finish, everything pending fails fast).
 
 Submission wake-ups: every ``submit`` bumps the mtime of a ``SUBMIT``
 stamp file at the queue root and fires any in-process listeners
-registered for that root.  An event-driven server waits on its wake
-event instead of sleeping out a poll tick, so submit→claim latency is
-bounded by a file touch, not half a poll interval; cross-process
-servers compare :meth:`FileJobQueue.submit_stamp_ns` between passes.
+registered for that root.  A listener wakes a server in the same
+process at once.  A submitter in another process can only bump the
+stamp, which the server compares (:meth:`FileJobQueue.submit_stamp_ns`)
+between passes, so its job is claimed at the next heartbeat — within
+one poll interval.
 """
 
 from __future__ import annotations
@@ -114,9 +115,6 @@ class FileJobQueue:
         self._lock_path = self.root / ".lock"
         self._counter_path = self.root / "COUNTER"
         self._stamp_path = self.root / "SUBMIT"
-        #: Size of the most recent ``queued/`` scan — the admission
-        #: controller's queue-depth signal without an extra listing.
-        self.last_scan_entries = 0
 
     @contextmanager
     def _locked(self) -> Iterator[None]:
@@ -264,24 +262,22 @@ class FileJobQueue:
         directory-scan cost of the serve loop is visible in traces.
         """
         entries = sorted((self.root / "queued").glob("job-*.json"))
-        self.last_scan_entries = len(entries)
         _count("serve.claim_scan_entries", len(entries))
         return entries
 
-    def claim_many(self, limit: int = 1) -> list[JobRecord]:
-        """Atomically claim up to *limit* oldest queued jobs via one scan.
+    def claim_many(self, limit: int | None = None) -> list[JobRecord]:
+        """Atomically claim the oldest queued jobs (all, or up to *limit*)
+        via one scan.
 
         The winning rename moves each file into ``running/`` before the
         record is rewritten, so a competing server loses the race with an
-        ``OSError`` and simply tries the next file.  One directory scan
-        serves the whole pass regardless of how many claims the admission
-        controller budgeted.
+        ``OSError`` and simply tries the next file.
         """
         claimed: list[JobRecord] = []
-        if limit < 1:
+        if limit is not None and limit < 1:
             return claimed
         for path in self._scan_queued():
-            if len(claimed) >= limit:
+            if limit is not None and len(claimed) >= limit:
                 break
             target = self.root / "running" / path.name
             try:

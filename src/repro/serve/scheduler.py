@@ -400,8 +400,8 @@ class FairScheduler:
     def stats(self) -> dict[str, Any]:
         """Point-in-time snapshot (consistent: taken under the lock).
 
-        ``in_flight``, ``capacity`` and ``coalesced_hits`` are the
-        utilization signals the admission controller reads.
+        The server reads ``coalesced_hits`` for its drain report; the
+        rest is for callers and tests watching load and fairness.
         """
         with self._lock:
             return {

@@ -8,15 +8,14 @@ serve``.  Its root directory is the whole service contract::
     <root>/results/    # <job-id>/dse.json per finished job
     <root>/STOP        # touch to request a graceful drain + exit
 
-The serve loop claims queued jobs under an admission controller
-(:mod:`repro.serve.admission`): ``fixed`` mode is the classic stagger —
-one claim per poll tick, so an earlier tenant's evaluations are already
-memo assets when an overlapping tenant arrives — while ``adaptive`` mode
-runs an AIMD claim budget over fleet utilization and the warm-hit ratio
-*and* switches the loop from polling to event-driven claiming: a queue
-submit wakes the loop immediately (in-process listener plus the queue's
-``SUBMIT`` stamp for cross-process submitters), so admission latency is
-bounded by a file touch instead of half a poll tick.
+The serve loop is one event-driven claim loop.  Each pass reaps finished
+runners, polls cancel markers, and claims every queued job in one scan;
+then it waits on a wake event for at most ``poll_interval_s`` (the
+heartbeat).  A submit from this process and a finished job set the
+event, so both are acted on at once; a submit from another process
+bumps the queue's ``SUBMIT`` stamp and is claimed at the next heartbeat.
+Claiming is not paced: the :class:`~repro.serve.scheduler.FairScheduler`
+(per-job slots, bounded pending lanes) is what bounds evaluation work.
 
 Each claimed job is registered with the
 :class:`~repro.serve.scheduler.FairScheduler` and its session runs on a
@@ -46,12 +45,6 @@ from pathlib import Path
 from typing import Any
 
 from repro.observe import current_telemetry
-from repro.serve.admission import (
-    AdaptiveAdmission,
-    AdmissionSignals,
-    FixedAdmission,
-    make_admission,
-)
 from repro.serve.fleet import EvaluatorFleet, SchedulerBoundEvaluator
 from repro.serve.jobs import JobRecord, JobState
 from repro.serve.queue import (
@@ -62,12 +55,6 @@ from repro.serve.queue import (
 from repro.serve.scheduler import FairScheduler, JobCancelledError
 
 __all__ = ["DseServer"]
-
-#: What the controller sees when it declared it doesn't read signals
-#: (fixed mode) — saves a scheduler/fleet stats round-trip per tick.
-_NO_SIGNALS = AdmissionSignals(
-    utilization=0.0, warm_hits=0, fresh_runs=0, queue_depth=0
-)
 
 
 def _count(name: str, value: float = 1) -> None:
@@ -87,12 +74,27 @@ class DseServer:
         slots_per_job: int = 2,
         max_pending: int | None = None,
         poll_interval_s: float = 0.05,
-        admission: str | FixedAdmission | AdaptiveAdmission = "fixed",
+        admission: str = "adaptive",
         coalesce: bool = True,
         emulate_tool_latency: float = 0.0,
     ) -> None:
-        # ``coalesce`` survives only as a keyword existing callers pass
-        # as True: every served point is single-flighted.
+        # Checked before anything touches disk: a zero slot count would
+        # otherwise leave its first claimed job in running/ forever, and
+        # a zero heartbeat would busy-spin the claim loop.
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        if slots_per_job < 1:
+            raise ValueError(f"slots_per_job must be >= 1, got {slots_per_job}")
+        if poll_interval_s <= 0:
+            raise ValueError(f"poll_interval_s must be > 0, got {poll_interval_s}")
+        # ``admission`` and ``coalesce`` survive only as keywords existing
+        # callers pass: there is one claim loop, and every served point
+        # is single-flighted.
+        if admission != "adaptive":
+            raise ValueError(
+                f"admission={admission!r} is not supported: the server has "
+                "one event-driven claim loop"
+            )
         if not coalesce:
             raise ValueError(
                 "coalesce=False is not supported: every served point is "
@@ -108,9 +110,6 @@ class DseServer:
         self.shards = shards
         self.slots_per_job = slots_per_job
         self.poll_interval_s = poll_interval_s
-        if isinstance(admission, str):
-            admission = make_admission(admission, poll_interval_s)
-        self.admission = admission
         #: Real seconds slept per simulated tool second on fresh runs —
         #: the serve-throughput benchmark's stand-in for external tool
         #: latency.  0 (the default) disables it.
@@ -128,12 +127,10 @@ class DseServer:
         self._counters_lock = threading.Lock()
         self._runners: dict[str, threading.Thread] = {}
         self._stop = threading.Event()
-        # The claim-loop wake event: submit listeners (adaptive mode) and
-        # stop() set it so the loop reacts immediately instead of riding
-        # out the heartbeat wait.
+        # The claim-loop wake event: the submit listener, finished jobs
+        # and stop() set it so the loop reacts immediately instead of
+        # riding out the heartbeat wait.
         self._wake = threading.Event()
-        self._last_warm_hits = 0
-        self._last_fresh_runs = 0
         self._final_fleet_stats: dict[str, Any] | None = None
         self._final_coalesced: int | None = None
 
@@ -155,26 +152,6 @@ class DseServer:
         with self._counters_lock:
             return self.jobs_done + self.jobs_failed + self.jobs_cancelled
 
-    def _signals(self) -> AdmissionSignals:
-        load = self.scheduler.stats()
-        fleet = self.fleet.stats()
-        warm = (
-            int(fleet["memo_hits"])
-            + int(fleet["store_hits"])
-            + int(load["coalesced_hits"])
-        )
-        fresh = int(fleet["dispatched"])
-        capacity = int(load["capacity"])
-        signals = AdmissionSignals(
-            utilization=(int(load["in_flight"]) / capacity) if capacity else 0.0,
-            warm_hits=max(0, warm - self._last_warm_hits),
-            fresh_runs=max(0, fresh - self._last_fresh_runs),
-            queue_depth=self.queue.last_scan_entries,
-        )
-        self._last_warm_hits = warm
-        self._last_fresh_runs = fresh
-        return signals
-
     def serve_forever(
         self,
         max_idle_s: float | None = None,
@@ -188,10 +165,8 @@ class DseServer:
         service runs with neither and drains on ``STOP``.
         """
         idle_since: float | None = None
-        event_driven = self.admission.event_driven
-        listener = self._wake.set if event_driven else None
-        if listener is not None:
-            add_submit_listener(self.queue.root, listener)
+        listener = self._wake.set
+        add_submit_listener(self.queue.root, listener)
         last_stamp = self.queue.submit_stamp_ns()
         try:
             while not self._should_stop():
@@ -202,41 +177,31 @@ class DseServer:
                     and self._finished_jobs() >= stop_after
                 ):
                     break
-                decision = self.admission.decide(
-                    self._signals() if event_driven else _NO_SIGNALS
-                )
                 # Clear before the scan: a submit landing after the scan
                 # re-sets the event and the wait below returns at once —
                 # the claim is never lost, only deferred one pass.
                 self._wake.clear()
-                claimed = self.queue.claim_many(decision.claims)
+                claimed = self.queue.claim_many()
                 for record in claimed:
                     self._launch(record)
                 if claimed:
                     idle_since = None
-                elif not self._runners:
-                    if max_idle_s is not None:
-                        now = time.monotonic()
-                        if idle_since is None:
-                            idle_since = now
-                        elif now - idle_since >= max_idle_s:
-                            break
-                if event_driven:
-                    # Cross-process submitters can't fire the in-process
-                    # listener; their SUBMIT stamp bump skips the wait.
-                    stamp = self.queue.submit_stamp_ns()
-                    if stamp != last_stamp:
-                        last_stamp = stamp
-                        continue
-                    self._wake.wait(decision.wait_s)
-                else:
-                    # Fixed mode: the classic stagger, verbatim — one
-                    # claim per tick, waiting on the stop event so
-                    # stop() still wakes the loop immediately.
-                    self._stop.wait(decision.wait_s)
+                elif not self._runners and max_idle_s is not None:
+                    now = time.monotonic()
+                    if idle_since is None:
+                        idle_since = now
+                    elif now - idle_since >= max_idle_s:
+                        break
+                # A cross-process submit can't fire the in-process
+                # listener; its SUBMIT stamp bump since the last look
+                # skips the wait.
+                stamp = self.queue.submit_stamp_ns()
+                if stamp != last_stamp:
+                    last_stamp = stamp
+                    continue
+                self._wake.wait(self.poll_interval_s)
         finally:
-            if listener is not None:
-                remove_submit_listener(self.queue.root, listener)
+            remove_submit_listener(self.queue.root, listener)
             self._drain()
         return self.stats()
 
@@ -356,8 +321,8 @@ class DseServer:
             traceback.print_exc()
         finally:
             self.scheduler.unregister_job(job_id)
-            # A finished job frees capacity (and may satisfy stop_after):
-            # wake the claim loop so it re-decides now, not next heartbeat.
+            # A finished job may satisfy stop_after (or max_idle_s): wake
+            # the claim loop so it acts now, not at the next heartbeat.
             self._wake.set()
 
     # -- introspection ----------------------------------------------------
@@ -377,6 +342,5 @@ class DseServer:
             "jobs_cancelled": cancelled,
             "queue_depth": self.queue.depth(),
             "coalesced_hits": coalesced,
-            "admission": self.admission.stats(),
             "fleet": self._final_fleet_stats or self.fleet.stats(),
         }

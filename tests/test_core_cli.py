@@ -329,9 +329,12 @@ class TestServeCli:
             ("--capacity", "-2"),
             ("--slots", "0"),
             ("--shards", "0"),
+            # The admission flags are gone: passing one is a usage error.
             ("--admission-backoff", "1.5"),
             ("--admission-backoff", "0"),
             ("--admission-backoff", "1"),
+            ("--admission", "fixed"),
+            ("--max-claim", "4"),
         ],
     )
     def test_bad_option_is_a_usage_error(self, tmp_path, capsys, flag, value):

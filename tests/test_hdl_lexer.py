@@ -163,9 +163,32 @@ class TestLexErrorsNotCrashes:
             lex("x\n  y = ²;")
         assert (exc.value.line, exc.value.column) == (2, 7)
 
+    @pytest.mark.parametrize("lex", [vhdl_tokens, vlog_tokens])
+    def test_real_literal_whose_float_overflows(self, lex):
+        with pytest.raises(LexError, match="real literal out of range") as exc:
+            lex("x\n  y = " + "1" * 400 + ".5;")
+        assert (exc.value.line, exc.value.column) == (2, 7)
+
+    @pytest.mark.parametrize("lex", [vhdl_tokens, vlog_tokens])
+    @pytest.mark.parametrize("tail", [";", "#ff#;", "'hff;"])
+    def test_decimal_past_the_int_digit_limit(self, lex, tail):
+        # A plain decimal, a VHDL base and a Verilog size all reach int().
+        with pytest.raises(LexError, match="number literal of 5000 digits is too long") as exc:
+            lex("x\n  y = " + "1" * 5000 + tail)
+        assert (exc.value.line, exc.value.column) == (2, 7)
+
     @pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.v")))
     def test_lint_reports_error_not_traceback(self, fixture, capsys):
         assert main(["lint", str(FIXTURES / fixture)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "literal", ["1" * 400 + ".5", "1" * 5000], ids=["real-overflow", "digit-limit"]
+    )
+    def test_lint_reports_oversized_literal(self, literal, tmp_path, capsys):
+        source = tmp_path / "big_literal.v"
+        source.write_text(f"module big_literal;\n  localparam P = {literal};\nendmodule\n")
+        assert main(["lint", str(source)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
 

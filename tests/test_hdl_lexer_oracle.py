@@ -26,15 +26,25 @@ ROOT = Path(__file__).resolve().parent.parent
 DIALECTS = ("vhdl", "verilog")
 
 # name -> (reference error pattern, new error pattern).  The reference
-# lets KeyError/ValueError escape for a Verilog `'` or `'s` at end of input
-# and for a digit `int()` rejects (e.g. `²`), and reports column 0 for an
-# unterminated block comment or attribute instance.
+# lets KeyError/ValueError escape for a Verilog `'` or `'s` at end of input,
+# for a digit `int()` rejects (e.g. `²`) and for a decimal past `int()`'s
+# digit limit, lets OverflowError escape for a real literal whose float is
+# infinite, and reports column 0 for an unterminated block comment or
+# attribute instance.
 ALLOWED = {
     "tick-at-eof": (r"KeyError: ''", r"LexError: unterminated based literal \("),
     "signed-tick-at-eof": (r"KeyError: 's'", r"LexError: unterminated based literal \("),
     "non-decimal-digit": (
         r"ValueError: (invalid literal for int\(\)|could not convert string to float)",
         r"LexError: bad digit in number literal ",
+    ),
+    "digit-limit": (
+        r"ValueError: Exceeds the limit \(\d+ digits\) for integer string conversion",
+        r"LexError: number literal of \d+ digits is too long \(",
+    ),
+    "real-overflow": (
+        r"OverflowError: cannot convert float infinity to integer",
+        r"LexError: real literal out of range \(",
     ),
     "comment-column": (
         r"LexError: unterminated block comment \(line \d+, column 0\)",
@@ -132,6 +142,10 @@ def test_examples_agree():
     ("signed-tick-at-eof", "x = 4'S"),
     ("non-decimal-digit", "x = ²"),
     ("non-decimal-digit", "x = 1.²"),
+    pytest.param("digit-limit", "x = " + "1" * 5000, id="digit-limit-decimal"),
+    pytest.param("digit-limit", "x = " + "1" * 5000 + "#f#", id="digit-limit-vhdl-base"),
+    pytest.param("digit-limit", "x = 8'd" + "1" * 5000, id="digit-limit-verilog-d"),
+    pytest.param("real-overflow", "x = " + "1" * 400 + ".5", id="real-overflow-400-digits"),
     ("comment-column", "a\n  b /* open"),
     ("attribute-column", "a\n  (* keep"),
 ])

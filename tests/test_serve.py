@@ -21,19 +21,15 @@ import pytest
 from tests._sanitize_support import lock_order_guard
 
 from repro.serve import (
-    AdaptiveAdmission,
-    AdmissionSignals,
     DseServer,
     EvaluatorFleet,
     FairScheduler,
     FileJobQueue,
-    FixedAdmission,
     JobCancelledError,
     JobSpec,
     JobState,
     SchedulerClosed,
     add_submit_listener,
-    make_admission,
     remove_submit_listener,
 )
 
@@ -147,15 +143,20 @@ class TestFileJobQueue:
         assert [r.job_id for r in queue.jobs()] == [first, second]
 
     def test_claim_many_is_fifo_over_one_scan(self, tmp_path):
+        from repro.observe import telemetry_session
+
         queue = FileJobQueue(tmp_path / "q")
-        ids = [queue.submit(JobSpec(design="tirex")).job_id for _ in range(3)]
-        claimed = queue.claim_many(2)
+        ids = [queue.submit(JobSpec(design="tirex")).job_id for _ in range(4)]
+        with telemetry_session() as tel:
+            claimed = queue.claim_many(2)
         assert [r.job_id for r in claimed] == ids[:2]
         assert all(r.state == JobState.RUNNING for r in claimed)
         # One directory listing served the whole pass.
-        assert queue.last_scan_entries == 3
-        assert queue.depth() == 1
-        assert [r.job_id for r in queue.claim_many(5)] == ids[2:]
+        assert tel.counters.get("serve.claim_scan_entries") == 4
+        assert queue.depth() == 2
+        # Without a limit, one pass claims every queued job.
+        assert [r.job_id for r in queue.claim_many()] == ids[2:]
+        assert queue.depth() == 0
 
     def test_submit_listener_fires_until_removed(self, tmp_path):
         queue = FileJobQueue(tmp_path / "q")
@@ -537,73 +538,6 @@ class TestSingleFlightCoalescing:
 
 
 # ---------------------------------------------------------------------------
-# Admission controllers
-
-
-class TestAdmission:
-    def test_fixed_is_the_constant_stagger(self):
-        ctl = FixedAdmission(0.2)
-        assert ctl.event_driven is False
-        saturated = AdmissionSignals(
-            utilization=1.0, warm_hits=0, fresh_runs=9, queue_depth=9
-        )
-        for _ in range(5):
-            decision = ctl.decide(saturated)
-            assert (decision.claims, decision.wait_s) == (1, 0.2)
-        assert ctl.stats() == {
-            "mode": "fixed", "decisions": 5, "claim_budget": 1
-        }
-
-    def test_adaptive_grows_additively_to_the_cap(self):
-        ctl = AdaptiveAdmission(0.05, max_claim=4)
-        assert ctl.event_driven is True
-        warm = AdmissionSignals(
-            utilization=0.2, warm_hits=8, fresh_runs=2, queue_depth=3
-        )
-        assert [ctl.decide(warm).claims for _ in range(6)] == [2, 3, 4, 4, 4, 4]
-
-    def test_adaptive_backs_off_multiplicatively_and_floors_at_one(self):
-        ctl = AdaptiveAdmission(0.05, max_claim=8)
-        warm = AdmissionSignals(
-            utilization=0.0, warm_hits=8, fresh_runs=0, queue_depth=0
-        )
-        for _ in range(7):
-            ctl.decide(warm)
-        assert ctl.claim_budget == 8
-        hot = AdmissionSignals(
-            utilization=0.9, warm_hits=8, fresh_runs=0, queue_depth=0
-        )
-        assert ctl.decide(hot).claims == 4
-        assert ctl.decide(hot).claims == 2
-        cold = AdmissionSignals(
-            utilization=0.0, warm_hits=0, fresh_runs=6, queue_depth=0
-        )
-        assert ctl.decide(cold).claims == 1
-        assert ctl.decide(cold).claims == 1  # floored: never below the stagger
-        assert ctl.stats()["backoffs"] == 4
-
-    def test_idle_windows_grow_toward_burst_drain(self):
-        # No answers at all is not "cold": an idle pool should be ready to
-        # drain a burst of submissions in one event-driven pass.
-        ctl = AdaptiveAdmission(0.05, max_claim=3)
-        idle = AdmissionSignals(
-            utilization=0.0, warm_hits=0, fresh_runs=0, queue_depth=0
-        )
-        assert [ctl.decide(idle).claims for _ in range(3)] == [2, 3, 3]
-
-    def test_factory_and_validation(self):
-        assert make_admission("fixed", 0.1).name == "fixed"
-        adaptive = make_admission("adaptive", 0.1, max_claim=5, backoff=0.25)
-        assert (adaptive.max_claim, adaptive.backoff) == (5, 0.25)
-        with pytest.raises(ValueError):
-            make_admission("jittery", 0.1)
-        with pytest.raises(ValueError):
-            AdaptiveAdmission(0.05, backoff=1.5)
-        with pytest.raises(ValueError):
-            FixedAdmission(0.0)
-
-
-# ---------------------------------------------------------------------------
 # EvaluatorFleet + facade
 
 
@@ -776,8 +710,8 @@ class TestDseServerIntegration:
         assert len(store) == reference.tool_runs
 
     def test_adaptive_admission_same_fronts_same_bill(self, tmp_path):
-        """Adaptive admission + coalescing change pacing and who pays —
-        never the fronts, and never the combined tool-run bill."""
+        """``admission="adaptive"``, the keyword existing callers still
+        pass, names the one claim loop: same fronts, same combined bill."""
         server = DseServer(
             tmp_path / "svc",
             capacity=2,
@@ -798,8 +732,6 @@ class TestDseServerIntegration:
         stats = server.serve_forever(stop_after=2, max_idle_s=10.0)
         assert stats["jobs_done"] == 2
         assert stats["jobs_failed"] == 0
-        assert stats["admission"]["mode"] == "adaptive"
-        assert stats["admission"]["decisions"] > 0
 
         reference = _serial_reference()
         reference_front = sorted(
@@ -821,12 +753,7 @@ class TestDseServerIntegration:
     def test_submit_wakes_the_idle_claim_loop(self, tmp_path):
         """Event-driven claiming: a submit landing mid-wait is claimed at
         once, not at the next poll tick (which is 5s away here)."""
-        server = DseServer(
-            tmp_path / "svc",
-            capacity=1,
-            poll_interval_s=5.0,
-            admission="adaptive",
-        )
+        server = DseServer(tmp_path / "svc", capacity=1, poll_interval_s=5.0)
         queue = FileJobQueue(tmp_path / "svc" / "queue")
         done: dict[str, dict] = {}
 
@@ -858,6 +785,42 @@ class TestDseServerIntegration:
             f"submit->done took {elapsed:.2f}s with a 5s poll tick: the "
             "wake event did not short-circuit the wait"
         )
+
+    def test_one_pass_claims_a_queued_burst(self, tmp_path):
+        """Every queued job is claimed in one pass: no per-tick stagger
+        (the heartbeat is 5s here), even with one evaluation slot."""
+        queue = FileJobQueue(tmp_path / "svc" / "queue")
+        spec = JobSpec(
+            design="cv32e40p-fifo",
+            seed=5,
+            generations=1,
+            population=4,
+            use_model=False,
+        )
+        records = [queue.submit(spec) for _ in range(3)]
+        server = DseServer(tmp_path / "svc", capacity=1, poll_interval_s=5.0)
+        stats = server.serve_forever(stop_after=3, max_idle_s=30.0)
+        assert stats["jobs_done"] == 3
+        started = [queue.get(r.job_id).started_at for r in records]
+        assert max(started) - min(started) < 1.0, started
+
+    @pytest.mark.parametrize("name", ["capacity", "slots_per_job", "poll_interval_s"])
+    def test_bad_argument_is_refused_before_touching_disk(self, tmp_path, name):
+        with pytest.raises(ValueError, match=name):
+            DseServer(tmp_path / "fresh", **{name: 0})
+        assert not (tmp_path / "fresh").exists()
+        # Over an existing queue: nothing is created and nothing claimed.
+        queue = FileJobQueue(tmp_path / "svc" / "queue")
+        record = queue.submit(JobSpec(design="cv32e40p-fifo"))
+        with pytest.raises(ValueError, match=name):
+            DseServer(tmp_path / "svc", **{name: 0})
+        assert sorted(p.name for p in (tmp_path / "svc").iterdir()) == ["queue"]
+        assert queue.get(record.job_id).state == JobState.QUEUED
+
+    def test_admission_keyword_accepts_only_adaptive(self, tmp_path):
+        with pytest.raises(ValueError, match="one event-driven claim loop"):
+            DseServer(tmp_path / "svc", admission="fixed")
+        assert not (tmp_path / "svc").exists()
 
     def test_coalescing_cannot_be_turned_off(self, tmp_path):
         """Serialized serving is ``capacity=1``, not an uncoalesced mode."""
