@@ -5,8 +5,9 @@ test_perf_engine.py``) and compares the host-independent ratios against
 the recorded thresholds in ``benchmarks/perf_thresholds.json``:
 
 - **floors** — dot-path metrics that must stay *at or above* the
-  recorded value (warm-store replay ratio, out-of-order speedup,
-  incremental-refit speedup, fidelity-gate simulated-seconds reduction);
+  recorded value (warm-store replay ratio, incremental-refit speedup,
+  fidelity-gate simulated-seconds reduction, static-estimate soundness,
+  serve speedup);
 - **ceilings** — metrics that must stay *at or below* it (the gate's
   hypervolume regret).
 

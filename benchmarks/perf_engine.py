@@ -1,6 +1,6 @@
 """Fast-evaluation-engine microbenchmark (shared harness).
 
-Seven experiments prove the engine and chart its perf trajectory:
+Six experiments prove the engine and chart its perf trajectory:
 
 - **DSE fan-out** — the same no-model NSGA-II exploration run serially and
   over the persistent worker pool.  The assertion is *bitwise identity*:
@@ -12,12 +12,6 @@ Seven experiments prove the engine and chart its perf trajectory:
   replay every configuration from the store — ≥5× fewer tool runs — and
   both runs' Pareto fronts must be bitwise identical to the no-store
   serial reference.
-- **Out-of-order scheduling** — the same batched workload evaluated with
-  a blocking per-batch barrier (``evaluate_many`` per batch) versus
-  pipelined (``submit_many`` for every batch up front, then collect).
-  Metric vectors must be bitwise identical to the serial reference; the
-  pipelined schedule must be ≥1.3× faster at ``workers=4`` (asserted in
-  benchmark mode only — single-core CI boxes cannot show it).
 - **Fidelity gate** — the same no-model NSGA-II exploration with the
   speculative multi-fidelity gate off and on.  The gated run must spend
   ≤½ the simulated tool seconds, its reported front must stay within 1%
@@ -66,7 +60,6 @@ from repro.estimation import ControlModel, Dataset, RefitPolicy
 __all__ = [
     "dse_pool_bench",
     "fidelity_gate_bench",
-    "ooo_bench",
     "refit_bench",
     "run_perf_engine",
     "serve_bench",
@@ -184,105 +177,6 @@ def warm_store_bench(
         "tool_run_ratio": round(ratio, 2),
         "cold_wall_s": round(cold_wall, 4),
         "warm_wall_s": round(warm_wall, 4),
-        "identical": True,
-    }
-
-
-def _ooo_points(design_name: str, batches: int, batch_size: int):
-    """Distinct configurations, grouped into uniform batches."""
-    gen = get_design(design_name)
-    dims = gen.params
-    points = []
-    n = batches * batch_size
-    for i in range(n):
-        point = {}
-        for j, dim in enumerate(dims):
-            span = dim.high - dim.low + 1
-            point[dim.name] = dim.low + (i * (j + 3) + i // span) % span
-        points.append(point)
-    # Distinctness matters: repeats would replay from the memo and make the
-    # workload smaller than advertised.
-    assert len({tuple(sorted(p.items())) for p in points}) == n
-    return [points[b * batch_size:(b + 1) * batch_size] for b in range(batches)]
-
-
-def ooo_bench(
-    design_name: str = "cv32e40p-fifo",
-    batches: int = 16,
-    batch_size: int = 5,
-    workers: int = 4,
-    min_speedup: float | None = 1.3,
-    tool_latency: float = 0.002,
-) -> dict:
-    """Per-batch barrier vs out-of-order pipelined scheduling.
-
-    The workload is ``batches`` batches whose size does not divide the
-    worker count — the shape NSGA-II population slices take in practice —
-    so the blocking schedule pays a straggler barrier per batch while the
-    pipelined one packs batches back to back.  Metric vectors must be
-    bitwise identical to the serial reference either way.
-
-    ``tool_latency`` enables the spec's emulated tool latency (wall
-    seconds slept per simulated tool second in each worker): real Vivado
-    invocations wait on an external process, so schedule quality — not the
-    benchmark host's core count — must set the wall clock.
-    """
-    import dataclasses as _dc
-
-    from repro.core.parallel import EvaluatorSpec, ParallelPointEvaluator
-
-    gen = get_design(design_name)
-    from repro.core.evaluate import PointEvaluator
-
-    evaluator = PointEvaluator(
-        source=gen.source(),
-        language=str(gen.language),
-        top=gen.top,
-        part="XC7K70T",
-        seed=2021,
-    )
-    spec = EvaluatorSpec.from_evaluator(evaluator, design_name=design_name)
-    spec = _dc.replace(spec, emulate_tool_latency=tool_latency)
-    groups = _ooo_points(design_name, batches, batch_size)
-    warmup = [{d.name: d.low for d in gen.params}]
-
-    serial = [evaluator.evaluate(p) for batch in groups for p in batch]
-
-    with ParallelPointEvaluator(spec=spec, workers=workers) as pool:
-        pool.evaluate_many(warmup)  # pool start-up excluded from timing
-        start = time.perf_counter()
-        blocking = [res for batch in groups for res in pool.evaluate_many(batch)]
-        blocking_wall = time.perf_counter() - start
-
-    with ParallelPointEvaluator(spec=spec, workers=workers) as pool:
-        pool.evaluate_many(warmup)
-        start = time.perf_counter()
-        pending = [pool.submit_many(batch) for batch in groups]
-        pipelined = [res for p in pending for res in p.results()]
-        pipelined_wall = time.perf_counter() - start
-
-    for label, outs in (("blocking", blocking), ("pipelined", pipelined)):
-        assert [p.metrics for p in outs] == [p.metrics for p in serial], (
-            f"{design_name}: {label} schedule diverged from the serial "
-            "reference"
-        )
-    speedup = blocking_wall / pipelined_wall if pipelined_wall else None
-    if min_speedup is not None and speedup is not None:
-        assert speedup >= min_speedup, (
-            f"{design_name}: out-of-order scheduling must be >="
-            f"{min_speedup}x over per-batch barriers at workers={workers}, "
-            f"got {speedup:.2f}x"
-        )
-    return {
-        "design": design_name,
-        "workers": workers,
-        "batches": batches,
-        "batch_size": batch_size,
-        "points": batches * batch_size,
-        "tool_latency": tool_latency,
-        "blocking_wall_s": round(blocking_wall, 4),
-        "pipelined_wall_s": round(pipelined_wall, 4),
-        "speedup": round(speedup, 3) if speedup else None,
         "identical": True,
     }
 
@@ -673,17 +567,13 @@ def run_perf_engine(smoke: bool = False) -> dict:
 
     Smoke mode keeps every *correctness* assertion (bitwise identity, the
     ≥5× warm-store replay ratio) but drops the wall-clock thresholds —
-    the out-of-order speedup and refit-speedup floors only apply to the
+    the refit-speedup, gate-reduction and serve-speedup floors only apply to the
     benchmark run, which writes ``BENCH_perf_engine.json``.
     """
     if smoke:
         designs = [("cv32e40p-fifo", 2, 8)]
         refit = refit_bench(n_points=40, every=8, gamma_drift=0.05)
         warm = warm_store_bench("cv32e40p-fifo", generations=2, population=8)
-        ooo = ooo_bench(
-            "cv32e40p-fifo", batches=3, batch_size=5, workers=2,
-            min_speedup=None, tool_latency=0.001,
-        )
         gate = fidelity_gate_bench(
             "corundum-cqm", generations=6, population=12,
             min_reduction=None,
@@ -697,10 +587,6 @@ def run_perf_engine(smoke: bool = False) -> dict:
         designs = [("corundum-cqm", 5, 12), ("cv32e40p-fifo", 5, 12)]
         refit = refit_bench(n_points=300, every=16, gamma_drift=0.05)
         warm = warm_store_bench("cv32e40p-fifo", generations=4, population=10)
-        ooo = ooo_bench(
-            "cv32e40p-fifo", batches=16, batch_size=5, workers=4,
-            min_speedup=1.3,
-        )
         gate = fidelity_gate_bench(
             "corundum-cqm", generations=20, population=24,
             min_reduction=2.0,
@@ -718,7 +604,6 @@ def run_perf_engine(smoke: bool = False) -> dict:
         "smoke": smoke,
         "dse_pool": dse,
         "warm_store": warm,
-        "ooo": ooo,
         "refit": refit,
         "fidelity_gate": gate,
         "static_estimate": static,

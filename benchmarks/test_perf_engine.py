@@ -1,12 +1,11 @@
 """Perf — the evaluation pipeline (store + stage caches + scheduler).
 
-Times six experiments on the Corundum and FIFO case studies, asserting
+Times five experiments on the Corundum and FIFO case studies, asserting
 bitwise identity against the serial cold-cache references throughout
 (the harness in ``perf_engine.py`` does the asserting):
 
 * serial-vs-pool DSE generations (persistent worker pool),
 * cold-vs-warm persistent result store (cross-run reuse),
-* per-batch-barrier vs out-of-order pipelined scheduling,
 * per-insert vs incremental control-model refits at paper-scale n=300,
 * ungated vs speculative multi-fidelity gated exploration (simulated
   seconds cut vs hypervolume regret of the reported front),
@@ -19,8 +18,7 @@ The timing payload lands in ``BENCH_perf_engine.json`` at the repo root
 so future PRs have a perf trajectory to compare against.
 
 The acceptance bars are the *host-independent* ones: the warm store must
-cut tool runs ≥5×, out-of-order scheduling must be ≥1.3× under emulated
-tool latency, the incremental refit policy must be ≥3× faster at n=300,
+cut tool runs ≥5×, the incremental refit policy must be ≥3× faster at n=300,
 the fidelity gate must cut simulated tool seconds ≥2× at ≤1%
 hypervolume regret, and serving at capacity 4 must be ≥1.3× over
 serving at capacity 1 under emulated tool latency.  Pool
@@ -47,7 +45,6 @@ def test_perf_engine(benchmark):
 
     refit = payload["refit"]
     warm = payload["warm_store"]
-    ooo = payload["ooo"]
     dse_rows = [
         (d["design"], d["evaluations"], d["pareto_points"],
          d["serial_wall_s"], d["pool_wall_s"], "yes")
@@ -63,14 +60,6 @@ def test_perf_engine(benchmark):
         [(warm["design"], warm["evaluations"], warm["cold_tool_runs"],
           warm["warm_tool_runs"], f"{warm['tool_run_ratio']}x", "yes")],
         title="Perf — DSE with persistent result store, cold vs warm",
-    )
-    text += "\n" + render_table(
-        ("Design", "Points", "Workers", "barrier s", "pipelined s",
-         "speedup", "identical"),
-        [(ooo["design"], ooo["points"], ooo["workers"],
-          ooo["blocking_wall_s"], ooo["pipelined_wall_s"],
-          f"{ooo['speedup']}x", "yes")],
-        title="Perf — batch scheduling, per-batch barrier vs out-of-order",
     )
     text += "\n" + render_table(
         ("n", "per-insert s", "incremental s", "speedup", "LOO scans (was)", "identical"),
@@ -103,13 +92,9 @@ def test_perf_engine(benchmark):
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
     assert all(d["identical"] for d in payload["dse_pool"])
-    assert warm["identical"] and ooo["identical"] and refit["identical"]
+    assert warm["identical"] and refit["identical"]
     assert warm["tool_run_ratio"] >= 5.0, (
         f"warm store must cut tool runs >=5x, got {warm['tool_run_ratio']}x"
-    )
-    assert ooo["speedup"] >= 1.3, (
-        f"out-of-order scheduling must be >=1.3x at workers={ooo['workers']}, "
-        f"got {ooo['speedup']}x"
     )
     assert refit["speedup"] >= 3.0, (
         f"incremental refit must be >=3x at n={refit['n_points']}, "

@@ -176,7 +176,7 @@ class ApproximateFitness:
         """Bind an externally owned batch evaluator (the serve fleet).
 
         ``evaluator`` must expose the :class:`ParallelPointEvaluator`
-        batch surface (``submit_many`` returning a pending batch).  Once
+        batch surface (``evaluate_many(points, on_error)``).  Once
         bound, *every* tool dispatch — batch and single-point alike —
         routes through it, so a multi-tenant scheduler sees all of this
         session's work.  The caller keeps ownership: :meth:`close` drops
@@ -626,8 +626,8 @@ class ApproximateFitness:
         """
         rows = [np.asarray(row) for row in np.atleast_2d(X)]
         params_list = [self.space.decode(row) for row in rows]
-        outs = self._parallel_evaluator().submit_many(params_list).results(
-            on_error="return"
+        outs = self._parallel_evaluator().evaluate_many(
+            params_list, on_error="return"
         )
         result = np.empty((len(rows), len(self.evaluator.metric_names())))
         for i, (row, params, res) in enumerate(zip(rows, params_list, outs)):

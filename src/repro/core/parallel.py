@@ -20,20 +20,17 @@ A cross-batch memo table guarantees a configuration is never dispatched
 twice: repeats — within one batch or in a later generation — replay the
 memoized metrics as cache-priced answers (``source="cache"``, zero
 simulated seconds), exactly what the serial reference produces when the
-shared tool session answers a repeated run from its result cache.  An
-*in-flight* table extends the same guarantee across overlapping batches:
-a configuration submitted by one batch and re-requested by another before
-it completes is never dispatched a second time — the later batch waits on
-the same future.
+shared tool session answers a repeated run from its result cache.
 
-Batches are scheduled out of order: :meth:`ParallelPointEvaluator.submit_many`
-returns a :class:`PendingBatch` immediately, so callers can pipeline
-several batches into the pool and let workers drain them without
-per-batch barriers.  Completion order only affects commutative telemetry
-(spans, counters); per-point ledger records are buffered and committed in
-submission order by the batch that dispatched them, and
-:meth:`PendingBatch.results` returns points in request order — the
-schedule is invisible in every output.
+One batch runs at a time, matching the generational search that drives
+it: :meth:`ParallelPointEvaluator.evaluate_many` dispatches a batch and
+waits for all of it before returning.  Workers finish in any order, but
+their ledger records, spans and counters are merged — and their answers
+memoized — in first-occurrence order once every run is back, and
+results come back in request order, so the schedule is invisible in
+every output.  A batch whose pool breaks (a worker killed mid-run)
+raises and commits nothing: after :meth:`~ParallelPointEvaluator.close`
+the same points are dispatched afresh to a new pool.
 
 Before dispatch the parent runs each fresh configuration through the
 DRC gate and, when a persistent :class:`~repro.cache.ResultStore` is
@@ -54,7 +51,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from concurrent.futures import Future, ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -76,7 +73,6 @@ __all__ = [
     "EvaluatorSpec",
     "EvaluationFailure",
     "ParallelPointEvaluator",
-    "PendingBatch",
     "RemoteEvaluationError",
 ]
 
@@ -113,69 +109,6 @@ def _worker_probe(_: int) -> tuple[int, int]:
 
 
 @dataclass
-class PendingBatch:
-    """A batch accepted by :meth:`ParallelPointEvaluator.submit_many`.
-
-    Holds the request order of its points plus the set of configurations
-    this batch *owns* (it caused their dispatch).  :meth:`results` blocks
-    until every point is resolved, commits the owned ledger records in
-    submission order, and returns results in request order.  A batch must
-    be collected exactly once; dropping one on the floor leaves its owned
-    ledger records buffered on the evaluator.
-    """
-
-    _evaluator: "ParallelPointEvaluator"
-    _points: list[dict[str, int]]
-    _keys: list[tuple]
-    _first_occurrence: dict[tuple, int]
-    _owned_keys: list[tuple]
-    _collected: bool = field(default=False, init=False)
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-    def done(self) -> bool:
-        """True when no point of this batch is still running in a worker."""
-        inflight = self._evaluator._inflight
-        return all(
-            key not in inflight or inflight[key].done() for key in self._keys
-        )
-
-    def results(self, on_error: str = "raise") -> list[Answer]:
-        """Block until the batch is resolved; return results in request order.
-
-        ``on_error="raise"`` re-raises the first failed point's error (as
-        a :class:`RemoteEvaluationError`); ``on_error="return"`` yields an
-        :class:`EvaluationFailure` in that point's slot instead.
-        """
-        if on_error not in ("raise", "return"):
-            raise ValueError(f"on_error must be 'raise' or 'return', got {on_error!r}")
-        if self._collected:
-            raise RuntimeError("PendingBatch.results() may only be consumed once")
-        ev = self._evaluator
-        tel = current_telemetry()
-        ev._settle(self._keys)
-        # Commit the worker ledger records this batch dispatched in
-        # submission order — completion order stays invisible in the trace.
-        for key in self._owned_keys:
-            records = ev._owned_records.pop(key, None)
-            if records and tel is not None:
-                tel.ledger.extend_from(records, origin="worker")
-        self._collected = True
-
-        results: list[Answer] = []
-        for i, key in enumerate(self._keys):
-            result = ev.memo[key]
-            if self._first_occurrence.get(key) != i:
-                ev.memo_hits += 1
-                result = replay(self._points[i], result, "memo")
-            if isinstance(result, EvaluationFailure) and on_error == "raise":
-                raise result.to_error()
-            results.append(result)
-        return results
-
-
-@dataclass
 class ParallelPointEvaluator:
     """Fan batches of configurations over a persistent process pool.
 
@@ -189,7 +122,8 @@ class ParallelPointEvaluator:
     result as a cache-priced answer.  ``store`` optionally plugs in the
     persistent cross-process result store, consulted before dispatch and
     appended after every tool run (disabled for incremental specs, whose
-    results are order-dependent).  ``gate`` is the DRC pre-flight gate
+    results are order-dependent; such a spec also refuses ``workers > 1``).
+    ``gate`` is the DRC pre-flight gate
     consulted before dispatch; a fitness hands over its own (space-aware,
     optionally netlist-staged) gate, and without one a gate is built
     from the spec on first use.  ``dispatched``/``memo_hits``/
@@ -210,17 +144,14 @@ class ParallelPointEvaluator:
     store_hits: int = field(default=0, init=False)
     store_puts: int = field(default=0, init=False)
     _point_store: PointStore = field(init=False, repr=False)
-    _inflight: dict[tuple, Future] = field(
-        default_factory=dict, init=False, repr=False
-    )
-    _inflight_params: dict[tuple, dict[str, int]] = field(
-        default_factory=dict, init=False, repr=False
-    )
-    _owned_records: dict[tuple, list] = field(
-        default_factory=dict, init=False, repr=False
-    )
 
     def __post_init__(self) -> None:
+        if self.spec.incremental and self.workers > 1:
+            raise ValueError(
+                "incremental specs cannot fan out over worker processes: "
+                "each worker's session warm-starts from its own checkpoints, "
+                "so results would depend on which worker ran which point"
+            )
         self._point_store = PointStore(self.store, self.spec)
 
     # -- lifecycle ------------------------------------------------------
@@ -324,22 +255,33 @@ class ParallelPointEvaluator:
 
     # -- scheduling -----------------------------------------------------
 
-    def submit_many(self, points: Sequence[Mapping[str, int]]) -> PendingBatch:
-        """Accept a batch for evaluation; returns without waiting.
+    def evaluate_many(
+        self,
+        points: Sequence[Mapping[str, int]],
+        on_error: str = "raise",
+    ) -> list[Answer]:
+        """Evaluate a batch, reusing the pool and the cross-batch memo.
 
-        Fresh configurations go through :meth:`_pre_dispatch` in the
-        parent, then to the pool (or inline when ``workers <= 1``).
-        Configurations already memoized — or already in flight from an
-        earlier batch — are never re-dispatched; their replays are
-        recorded when the batch is collected.  Collect with
-        :meth:`PendingBatch.results`.
+        Each configuration the memo does not hold goes once through
+        :meth:`_pre_dispatch` in the parent; the ones left to dispatch
+        run on the pool (or inline when ``workers <= 1``) and are
+        committed in first-occurrence order.  Results come back in
+        request order, repeats replayed from the memo.
+
+        ``on_error="raise"`` re-raises the first worker-side
+        :class:`ReproError` (as a :class:`RemoteEvaluationError`);
+        ``on_error="return"`` yields an :class:`EvaluationFailure` in that
+        point's slot instead, so callers can apply their own penalty
+        policy without losing the rest of the batch.
         """
+        if on_error not in ("raise", "return"):
+            raise ValueError(f"on_error must be 'raise' or 'return', got {on_error!r}")
         pts = [{k: int(v) for k, v in p.items()} for p in points]
         keys = [freeze_params(p) for p in pts]
         fresh: dict[tuple, dict[str, int]] = {}
         first_occurrence: dict[tuple, int] = {}
         for i, (key, p) in enumerate(zip(keys, pts)):
-            if key in self.memo or key in self._inflight or key in fresh:
+            if key in self.memo or key in fresh:
                 continue
             first_occurrence[key] = i
             if self._pre_dispatch(key, p) is None:
@@ -357,59 +299,26 @@ class ParallelPointEvaluator:
                 self._commit(key, params, result)
         elif fresh:
             pool = self._ensure_pool()
-            for key, params in fresh.items():
-                self._inflight[key] = pool.submit(_evaluate_one_safe, params)
-                self._inflight_params[key] = params
-        return PendingBatch(self, pts, keys, first_occurrence, list(fresh))
-
-    def _settle(self, keys: Sequence[tuple]) -> None:
-        """Wait for any of *keys* still in flight, absorbing completions.
-
-        Futures are absorbed in completion order — spans and counters
-        merge immediately (they are commutative accumulations), while
-        ledger records are buffered per key for the owning batch to
-        commit in submission order.
-        """
-        waiting: dict[Future, tuple] = {}
-        for key in keys:
-            fut = self._inflight.get(key)
-            if fut is not None:
-                waiting.setdefault(fut, key)
-        tel = current_telemetry()
-        for fut in as_completed(waiting):
-            key = waiting[fut]
-            if self._inflight.get(key) is not fut:
-                continue  # another batch's settle absorbed it first
-            result, delta = fut.result()
-            del self._inflight[key]
-            params = self._inflight_params.pop(key)
-            if delta is not None:
-                records = delta.pop("records", ())
-                if records:
-                    self._owned_records[key] = list(records)
-                if tel is not None:
+            futures = [pool.submit(_evaluate_one_safe, p) for p in fresh.values()]
+            # Every run must come back before any is committed: a broken
+            # pool raises here and leaves no trace of the batch.
+            answers = [future.result() for future in futures]
+            tel = current_telemetry()
+            for (key, params), (result, delta) in zip(fresh.items(), answers):
+                if delta is not None and tel is not None:
                     tel.merge_delta(delta, origin="worker")
-            self._commit(key, params, result)
+                self._commit(key, params, result)
 
-    def evaluate_many(
-        self,
-        points: Sequence[Mapping[str, int]],
-        on_error: str = "raise",
-    ) -> list[Answer]:
-        """Evaluate a batch, reusing the pool and the cross-batch memo.
-
-        Equivalent to ``submit_many(points).results(on_error)`` — one
-        batch submitted and collected with nothing overlapping it.
-
-        ``on_error="raise"`` re-raises the first worker-side
-        :class:`ReproError` (as a :class:`RemoteEvaluationError`);
-        ``on_error="return"`` yields an :class:`EvaluationFailure` in that
-        point's slot instead, so callers can apply their own penalty
-        policy without losing the rest of the batch.
-        """
-        if on_error not in ("raise", "return"):
-            raise ValueError(f"on_error must be 'raise' or 'return', got {on_error!r}")
-        return self.submit_many(points).results(on_error)
+        results: list[Answer] = []
+        for i, key in enumerate(keys):
+            result = self.memo[key]
+            if first_occurrence.get(key) != i:
+                self.memo_hits += 1
+                result = replay(pts[i], result, "memo")
+            if isinstance(result, EvaluationFailure) and on_error == "raise":
+                raise result.to_error()
+            results.append(result)
+        return results
 
     # -- introspection --------------------------------------------------
 

@@ -118,7 +118,8 @@ def run_sweep(
     """Evaluate every configuration in ``points``.
 
     ``workers > 1`` fans the batch over a process pool (see
-    :mod:`repro.core.parallel`); ``design_name`` names a built-in design so
+    :mod:`repro.core.parallel`), except for an incremental evaluator,
+    which always runs in-process; ``design_name`` names a built-in design so
     workers can re-register its architectural model.  ``result_store``
     (a :class:`repro.cache.ResultStore` or a path) plugs in the persistent
     cross-run store: previously evaluated configurations — by any process
@@ -129,6 +130,11 @@ def run_sweep(
         from repro.cache import open_store
 
         result_store = open_store(result_store)
+    if evaluator.incremental:
+        # Incremental runs warm-start from the session's checkpoints;
+        # worker-local sessions would change the answers, so they stay
+        # in-process (the store is disabled for them anyway).
+        workers = 0
     if workers > 1 or result_store is not None:
         from repro.core.parallel import EvaluatorSpec, ParallelPointEvaluator
 

@@ -24,7 +24,7 @@ shared member cannot promise.
 
 :class:`SchedulerBoundEvaluator` is the facade a session binds via
 ``ApproximateFitness.set_batch_evaluator``: it exposes the same
-``submit_many`` surface as ``ParallelPointEvaluator`` but routes each
+``evaluate_many`` surface as ``ParallelPointEvaluator`` but routes each
 point as one scheduler request tagged with the owning job, so the fair
 round-robin interleaves *points*, not whole batches.
 """
@@ -178,9 +178,8 @@ class EvaluatorFleet:
 class ScheduledBatch:
     """Pending results of one ``submit_many`` through the scheduler.
 
-    Duck-types the :class:`~repro.core.parallel.PendingBatch` surface the
-    fitness layer consumes (``done()`` / ``results(on_error)``); results
-    come back in request order regardless of scheduler interleaving.  A
+    :meth:`results` blocks until every point is answered and returns
+    them in request order regardless of scheduler interleaving.  A
     cancelled job's pending points surface as the
     :class:`~repro.serve.scheduler.JobCancelledError` their futures
     carry.
@@ -188,12 +187,6 @@ class ScheduledBatch:
 
     def __init__(self, futures: Sequence[Future[Any]]) -> None:
         self._futures = list(futures)
-
-    def __len__(self) -> int:
-        return len(self._futures)
-
-    def done(self) -> bool:
-        return all(f.done() for f in self._futures)
 
     def results(self, on_error: str = "raise") -> list[Any]:
         if on_error not in ("raise", "return"):

@@ -72,7 +72,6 @@ class DseServer:
         capacity: int = 4,
         shards: int = 8,
         slots_per_job: int = 2,
-        max_pending: int | None = None,
         poll_interval_s: float = 0.05,
         admission: str = "adaptive",
         coalesce: bool = True,
@@ -114,10 +113,9 @@ class DseServer:
         #: the serve-throughput benchmark's stand-in for external tool
         #: latency.  0 (the default) disables it.
         self.emulate_tool_latency = emulate_tool_latency
-        self.scheduler = FairScheduler(
-            capacity=capacity,
-            max_pending=max_pending if max_pending is not None else 4 * capacity,
-        )
+        # Backpressure: a job may hold four requests per pool thread,
+        # queued or running, before its session thread blocks.
+        self.scheduler = FairScheduler(capacity=capacity, max_pending=4 * capacity)
         self.fleet = EvaluatorFleet(store_root=str(self.store_root), shards=shards)
         self.jobs_done = 0
         self.jobs_failed = 0

@@ -235,47 +235,41 @@ class TestSpawnEquivalence:
             assert s.metrics == p.metrics
 
 
-class TestSubmitMany:
-    """Out-of-order scheduling: submit several batches, collect later."""
+class TestBrokenPool:
+    def test_killed_worker_does_not_poison_the_evaluator(self):
+        """A worker killed mid-batch fails that batch only: after
+        ``close()`` the same points run on a fresh pool and equal the
+        serial reference."""
+        import dataclasses
+        import os
+        import signal
+        import threading
+        import time
+        from concurrent.futures.process import BrokenProcessPool
 
-    def test_pipelined_batches_match_blocking(self):
-        spec = _spec()
-        ref = ParallelPointEvaluator(spec=spec, workers=0).evaluate_many(BATCH)
-        with ParallelPointEvaluator(spec=spec, workers=2) as pool:
-            pending = [pool.submit_many(BATCH[:2]), pool.submit_many(BATCH[2:])]
-            outs = [r for p in pending for r in p.results()]
-        for s, p in zip(ref, outs):
-            assert s.parameters == p.parameters
-            assert s.metrics == p.metrics
+        spec = _spec(design_name="cv32e40p-fifo")
+        points = [{"DEPTH": 4}, {"DEPTH": 8}, {"DEPTH": 16}, {"DEPTH": 32}]
+        ref = ParallelPointEvaluator(spec=spec, workers=0).evaluate_many(points)
+        # ~1.1 s of emulated latency per run: no run can finish before
+        # the kill lands 0.3 s after both workers exist.
+        slow = dataclasses.replace(spec, emulate_tool_latency=0.01)
+        with ParallelPointEvaluator(spec=slow, workers=2) as pool:
 
-    def test_results_consumed_once(self):
-        with ParallelPointEvaluator(spec=_spec(), workers=0) as pool:
-            batch = pool.submit_many(BATCH[:1])
-            batch.results()
-            with pytest.raises(RuntimeError):
-                batch.results()
+            def kill_workers():
+                while pool._pool is None or len(pool._pool._processes) < 2:
+                    time.sleep(0.01)
+                time.sleep(0.3)
+                for pid in list(pool._pool._processes):
+                    os.kill(pid, signal.SIGKILL)
 
-    def test_overlapping_batches_dispatch_once(self):
-        """A point already in flight from an earlier batch is never
-        re-dispatched by a later one."""
-        spec = _spec()
-        with ParallelPointEvaluator(spec=spec, workers=2) as pool:
-            first = pool.submit_many(BATCH)
-            second = pool.submit_many([BATCH[0], BATCH[3]])
-            assert pool.dispatched == len(BATCH)
-            out_first = first.results()
-            out_second = second.results()
-        assert out_second[0].metrics == out_first[0].metrics
-        assert out_second[1].metrics == out_first[3].metrics
-        # The second batch's copies replay as cache-priced answers.
-        assert all(p.source == "cache" for p in out_second)
-        assert all(p.simulated_seconds == 0.0 for p in out_second)
-
-    def test_done_reports_completion(self):
-        with ParallelPointEvaluator(spec=_spec(), workers=0) as pool:
-            batch = pool.submit_many(BATCH[:1])
-            assert batch.done()  # serial path resolves eagerly
-            batch.results()
+            killer = threading.Thread(target=kill_workers)
+            killer.start()
+            with pytest.raises(BrokenProcessPool):
+                pool.evaluate_many(points)
+            killer.join()
+            pool.close()
+            out = pool.evaluate_many(points)
+        assert out == ref
 
 
 class TestWorkerProbeFloor:
@@ -350,6 +344,10 @@ class TestStoreIntegration:
         assert isinstance(out[0], EvaluationFailure)
         assert out[0].original_type == "UtilizationOverflowError"
         assert out[0].simulated_seconds == 0.0
+
+    def test_incremental_spec_refuses_worker_processes(self):
+        with pytest.raises(ValueError, match="incremental"):
+            ParallelPointEvaluator(spec=_spec(incremental=True), workers=2)
 
     def test_incremental_spec_disables_the_store(self, tmp_path):
         from repro.cache import ResultStore

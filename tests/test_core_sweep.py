@@ -99,6 +99,30 @@ class TestRunSweep:
         for a, b in zip(serial.points, parallel.points):
             assert a.metrics == b.metrics
 
+    def test_incremental_sweep_ignores_workers(self):
+        """An incremental sweep runs in-process whatever ``workers`` says:
+        worker-local sessions would warm-start from different
+        checkpoints and change the answers."""
+        import numpy as np
+
+        design = get_design("cv32e40p-fifo")
+        rng = np.random.default_rng(3)
+        points = [
+            {d.name: int(rng.integers(d.low, d.high + 1)) for d in design.params}
+            for _ in range(12)
+        ]
+
+        def sweep(workers):
+            evaluator = PointEvaluator(
+                source=design.source(), language=design.language,
+                top=design.top, part="XC7K70T", seed=3, incremental=True,
+            )
+            return run_sweep(
+                evaluator, points, workers=workers, design_name="cv32e40p-fifo"
+            )
+
+        assert sweep(3).points == sweep(0).points
+
     def test_empty_sweep(self, cqm_design):
         result = run_sweep(_evaluator(cqm_design), [])
         assert len(result) == 0

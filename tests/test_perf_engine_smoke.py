@@ -31,9 +31,6 @@ def test_perf_engine_smoke():
     warm = payload["warm_store"]
     assert warm["identical"]
     assert warm["tool_run_ratio"] >= 5.0
-    # Out-of-order scheduling: identity always holds; the speedup bar is
-    # only enforced at full benchmark sizes.
-    assert payload["ooo"]["identical"]
     # Fidelity gate: the gate-off identity and the regret budget hold at
     # smoke sizes (both are deterministic); the >=2x reduction floor only
     # applies to the full benchmark, where the run is long enough for the
