@@ -29,8 +29,8 @@ their ledger records, spans and counters are merged — and their answers
 memoized — in first-occurrence order once every run is back, and
 results come back in request order, so the schedule is invisible in
 every output.  A batch whose pool breaks (a worker killed mid-run)
-raises and commits nothing: after :meth:`~ParallelPointEvaluator.close`
-the same points are dispatched afresh to a new pool.
+raises and commits nothing, and the broken pool is dropped: the next
+call dispatches the same points afresh to a new pool.
 
 Before dispatch the parent runs each fresh configuration through the
 DRC gate and, when a persistent :class:`~repro.cache.ResultStore` is
@@ -52,6 +52,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -302,7 +303,14 @@ class ParallelPointEvaluator:
             futures = [pool.submit(_evaluate_one_safe, p) for p in fresh.values()]
             # Every run must come back before any is committed: a broken
             # pool raises here and leaves no trace of the batch.
-            answers = [future.result() for future in futures]
+            try:
+                answers = [future.result() for future in futures]
+            except BrokenProcessPool:
+                # A dead worker breaks the executor for good; drop it so
+                # the next call starts a fresh pool.
+                pool.shutdown(wait=True, cancel_futures=True)
+                self._pool = None
+                raise
             tel = current_telemetry()
             for (key, params), (result, delta) in zip(fresh.items(), answers):
                 if delta is not None and tel is not None:

@@ -165,14 +165,18 @@ def evaluate(expr: Expr, env: Mapping[str, int | str | bool] | None = None) -> i
     parameters with consistent casing).
     """
     env = env or {}
-    folded = {k.lower(): v for k, v in env.items()}
+    # Folded on the first name lookup: most expressions reference none.
+    folded: dict[str, int | str | bool] | None = None
 
     def ev(node: Expr) -> int:
+        nonlocal folded
         if isinstance(node, Num):
             return node.value
         if isinstance(node, StrLit):
             return _as_int(node.value)
         if isinstance(node, Name):
+            if folded is None:
+                folded = {k.lower(): v for k, v in env.items()}
             key = node.ident.lower()
             if key not in folded:
                 raise EvalError(

@@ -236,10 +236,11 @@ class TestSpawnEquivalence:
 
 
 class TestBrokenPool:
-    def test_killed_worker_does_not_poison_the_evaluator(self):
-        """A worker killed mid-batch fails that batch only: after
-        ``close()`` the same points run on a fresh pool and equal the
-        serial reference."""
+    POINTS = [{"DEPTH": 4}, {"DEPTH": 8}, {"DEPTH": 16}, {"DEPTH": 32}]
+
+    def _kill_mid_batch(self):
+        """A pool whose first batch lost both workers to SIGKILL, and the
+        serial reference for :attr:`POINTS`."""
         import dataclasses
         import os
         import signal
@@ -248,27 +249,44 @@ class TestBrokenPool:
         from concurrent.futures.process import BrokenProcessPool
 
         spec = _spec(design_name="cv32e40p-fifo")
-        points = [{"DEPTH": 4}, {"DEPTH": 8}, {"DEPTH": 16}, {"DEPTH": 32}]
-        ref = ParallelPointEvaluator(spec=spec, workers=0).evaluate_many(points)
+        ref = ParallelPointEvaluator(spec=spec, workers=0).evaluate_many(self.POINTS)
         # ~1.1 s of emulated latency per run: no run can finish before
         # the kill lands 0.3 s after both workers exist.
         slow = dataclasses.replace(spec, emulate_tool_latency=0.01)
-        with ParallelPointEvaluator(spec=slow, workers=2) as pool:
+        pool = ParallelPointEvaluator(spec=slow, workers=2)
 
-            def kill_workers():
-                while pool._pool is None or len(pool._pool._processes) < 2:
-                    time.sleep(0.01)
-                time.sleep(0.3)
-                for pid in list(pool._pool._processes):
-                    os.kill(pid, signal.SIGKILL)
+        def kill_workers():
+            while pool._pool is None or len(pool._pool._processes) < 2:
+                time.sleep(0.01)
+            time.sleep(0.3)
+            for pid in list(pool._pool._processes):
+                os.kill(pid, signal.SIGKILL)
 
-            killer = threading.Thread(target=kill_workers)
-            killer.start()
+        killer = threading.Thread(target=kill_workers)
+        killer.start()
+        try:
             with pytest.raises(BrokenProcessPool):
-                pool.evaluate_many(points)
+                pool.evaluate_many(self.POINTS)
+        finally:
             killer.join()
+        return pool, ref
+
+    def test_killed_worker_does_not_poison_the_evaluator(self):
+        """A worker killed mid-batch fails that batch only: after
+        ``close()`` the same points run on a fresh pool and equal the
+        serial reference."""
+        pool, ref = self._kill_mid_batch()
+        with pool:
             pool.close()
-            out = pool.evaluate_many(points)
+            out = pool.evaluate_many(self.POINTS)
+        assert out == ref
+
+    def test_broken_pool_is_replaced_without_close(self):
+        """The next call after a broken batch runs on a fresh pool even
+        though nobody called ``close()``, as in a DSE session."""
+        pool, ref = self._kill_mid_batch()
+        with pool:
+            out = pool.evaluate_many(self.POINTS)
         assert out == ref
 
 

@@ -39,6 +39,34 @@ class TestEvaluate:
         assert "'MISSING'" in str(err.value)
         assert expr.render() in str(err.value)
 
+    def test_keys_differing_in_case_fold_last_wins(self):
+        w = E.Name("W")
+        assert E.evaluate(w, {"W": 3, "w": 5}) == 5
+        assert E.evaluate(w, {"w": 5, "W": 3}) == 3
+        assert E.evaluate(E.BinOp("+", w, E.Name("w")), {"W": 3, "w": 5}) == 10
+
+    def test_name_free_expression_never_folds_the_environment(self):
+        class Env(dict):
+            folds = 0
+
+            def items(self):
+                Env.folds += 1
+                return super().items()
+
+        env = Env(W=3, w=5)
+        assert E.evaluate(E.BinOp("*", E.Num(6), E.Num(7)), env) == 42
+        assert Env.folds == 0
+        assert E.evaluate(E.BinOp("+", E.Name("W"), E.Name("W")), env) == 10
+        assert Env.folds == 1
+
+    def test_unbound_name_message_is_unchanged(self):
+        expr = E.BinOp("+", E.Name("Depth"), E.Num(1))
+        with pytest.raises(E.EvalError) as err:
+            E.evaluate(expr, {"W": 3, "w": 5})
+        assert str(err.value) == (
+            "unbound name 'Depth' in constant expression '(Depth + 1)'"
+        )
+
     def test_clog2_variants(self):
         for fn in ("$clog2", "clog2", "log2ceil"):
             assert E.evaluate(E.Call(fn, (E.Num(8),))) == 3
