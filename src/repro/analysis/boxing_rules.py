@@ -5,17 +5,23 @@ synthetic top whose only pin is the clock, specializing every generic at
 the design point.  A wrapper defect — a port left unwired, a generic not
 specialized, the ``DONT_TOUCH`` attribute missing, the clock not reaching
 the box pin — silently corrupts every downstream measurement, so these
-rules re-render the wrapper at the bound point and verify it structurally
-before the tool ever runs.
+rules build the wrapper at the bound point and check its wiring (the
+connection map, generic map and ``DONT_TOUCH`` flag of the
+:class:`~repro.boxing.BoxArtifact`) before the tool ever runs.  The text
+is rendered from that same wiring, so the rules never render it; the tests
+check the rendered text against the wiring.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.analysis.findings import Severity
 from repro.analysis.registry import RuleContext, Stage, Violation, rule
-from repro.hdl.ast import HdlLanguage, Module
+from repro.hdl.ast import Module
+
+if TYPE_CHECKING:
+    from repro.boxing import BoxArtifact
 
 __all__: list[str] = []  # rules register themselves; nothing to export
 
@@ -37,8 +43,8 @@ def _resolved_clock(ctx: RuleContext) -> Optional[str]:
     return clocks[0].name if clocks else None
 
 
-def _get_box(ctx: RuleContext) -> Optional[object]:
-    """Render the box artifact once per run; None when boxing cannot build.
+def _get_box(ctx: RuleContext) -> Optional["BoxArtifact"]:
+    """Build the box artifact once per run; None when boxing cannot build.
 
     Build failures are not re-reported here: a missing clock is B001's
     finding and a bad override is P004's.
@@ -48,7 +54,7 @@ def _get_box(ctx: RuleContext) -> Optional[object]:
     from repro.boxing import build_box
     from repro.errors import ReproError
 
-    box: Optional[object]
+    box: Optional[BoxArtifact]
     try:
         box = build_box(
             _module(ctx), ctx.params or {}, clock_port=ctx.clock_port
@@ -57,14 +63,6 @@ def _get_box(ctx: RuleContext) -> Optional[object]:
         box = None
     ctx.cache["box"] = box
     return box
-
-
-def _wired(source: str, language: HdlLanguage, name: str, target: str) -> bool:
-    """True when the box source connects ``name`` to ``target``."""
-    lowered = source.lower()
-    if language == HdlLanguage.VHDL:
-        return f"{name.lower()} => {target.lower()}" in lowered
-    return f".{name.lower()}({target.lower()})" in lowered
 
 
 @rule(
@@ -109,24 +107,20 @@ def check_box_coverage(ctx: RuleContext) -> Iterator[Violation]:
     box = _get_box(ctx)
     if box is None:
         return
-    source: str = box.source  # type: ignore[attr-defined]
-    clock: str = box.clock_port  # type: ignore[attr-defined]
-    lowered = source.lower()
+    # The wiring is compared exactly as build_box records it.
+    wired = set(box.connections)
+    clock = box.clock_port.lower()
     for port in module.ports:
-        if port.name.lower() == clock.lower():
+        if (port.name, f"s_{port.name}") in wired or port.name.lower() == clock:
             continue
-        if not _wired(source, module.language, port.name, f"s_{port.name}"):
-            yield Violation(
-                f"box wrapper does not wire port {port.name!r}",
-                module=module.name,
-                line=port.line,
-            )
+        yield Violation(
+            f"box wrapper does not wire port {port.name!r}",
+            module=module.name,
+            line=port.line,
+        )
+    generics = {name for name, _ in box.generics}
     for param in module.free_parameters():
-        if module.language == HdlLanguage.VHDL:
-            present = f"{param.name.lower()} =>" in lowered
-        else:
-            present = f".{param.name.lower()}(" in lowered
-        if not present:
+        if param.name not in generics:
             yield Violation(
                 f"box wrapper does not specialize generic {param.name!r}",
                 module=module.name,
@@ -149,8 +143,7 @@ def check_box_dont_touch(ctx: RuleContext) -> Iterator[Violation]:
     box = _get_box(ctx)
     if box is None:
         return
-    source: str = box.source  # type: ignore[attr-defined]
-    if "dont_touch" not in source.lower():
+    if not box.dont_touch:
         yield Violation(
             "box wrapper lacks the DONT_TOUCH attribute on the boxed instance",
             module=module.name,
@@ -172,9 +165,8 @@ def check_box_clock_unreachable(ctx: RuleContext) -> Iterator[Violation]:
     box = _get_box(ctx)
     if box is None:
         return
-    source: str = box.source  # type: ignore[attr-defined]
-    clock: str = box.clock_port  # type: ignore[attr-defined]
-    if not _wired(source, module.language, clock, "clk"):
+    clock = box.clock_port
+    if (clock, "clk") not in box.connections:
         yield Violation(
             f"clock port {clock!r} is not connected to the box clock pin",
             module=module.name,

@@ -31,8 +31,9 @@ from repro.analysis import (  # noqa: F401
     netlist_rules,
 )
 from repro.analysis.elaboration_rules import resolve_point_environment
-from repro.analysis.findings import CheckResult, Finding
+from repro.analysis.findings import CheckResult, Finding, Severity
 from repro.analysis.registry import (
+    Rule,
     RuleConfig,
     RuleContext,
     Stage,
@@ -78,15 +79,24 @@ class DesignRuleChecker:
 
     def __init__(self, config: RuleConfig | None = None) -> None:
         self.config = config or RuleConfig()
+        self._plans: dict[Stage, tuple[tuple[Rule, Severity], ...]] = {}
 
     # ------------------------------------------------------------------
 
+    def _plan(self, stage: Stage) -> tuple[tuple[Rule, Severity], ...]:
+        """The stage's enabled rules with their severities, resolved once."""
+        plan = self._plans.get(stage)
+        if plan is None:
+            plan = self._plans[stage] = tuple(
+                (rule_, self.config.severity_of(rule_))
+                for rule_ in rules_for_stage(stage)
+                if self.config.enabled(rule_.code)
+            )
+        return plan
+
     def _run_stage(self, stage: Stage, ctx: RuleContext) -> list[Finding]:
         findings: list[Finding] = []
-        for rule_ in rules_for_stage(stage):
-            if not self.config.enabled(rule_.code):
-                continue
-            severity = self.config.severity_of(rule_)
+        for rule_, severity in self._plan(stage):
             for violation in rule_.check(ctx):
                 findings.append(
                     Finding(

@@ -74,9 +74,7 @@ class StaticSpaceAnalysis:
         self.module = module
         self.space = space
         self.scan = scan
-        self._params: dict[str, Parameter] = {
-            p.name.lower(): p for p in module.parameters
-        }
+        self._params: dict[str, Parameter] = module.parameter_map
         self._dims: dict[str, object] = {}
         self.applicable = space is not None
         if self.applicable:

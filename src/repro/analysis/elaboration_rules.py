@@ -14,7 +14,7 @@ stage (plus boxing) before a point is priced as a tool run.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional, Union
 
 from repro.analysis.findings import Severity
 from repro.analysis.registry import RuleContext, Stage, Violation, rule
@@ -36,7 +36,7 @@ def resolve_point_environment(
     """
     env = module.default_environment()
     params = params or {}
-    known = {p.name.lower(): p for p in module.parameters}
+    known = module.parameter_map
     for name, value in params.items():
         param = known.get(name.lower())
         if param is None or param.local:
@@ -60,6 +60,34 @@ def _bound(port: Port, which: str, env: Mapping[str, int]) -> Optional[int]:
     if node is None:
         return 0 if which == "low" else None
     return E.evaluate(node, env)
+
+
+#: A bound's value, or the error that kept it from folding.
+Bound = Union[Optional[int], E.EvalError]
+
+
+def _vector_bounds(ctx: RuleContext) -> list[tuple[Port, Bound, Bound]]:
+    """``(port, high, low)`` of every vector port, evaluated once per run.
+
+    P001 and P002 read the same bounds; an unevaluable bound is kept as
+    its :class:`~repro.hdl.expr.EvalError` for P002 to report.
+    """
+    bounds = ctx.cache.get("bounds")
+    if bounds is None:
+        env = ctx.env or {}
+        bounds = []
+        for port in _module(ctx).ports:
+            if not port.ptype.is_vector():
+                continue
+            pair: list[Bound] = []
+            for which in ("high", "low"):
+                try:
+                    pair.append(_bound(port, which, env))
+                except E.EvalError as exc:
+                    pair.append(exc)
+            bounds.append((port, pair[0], pair[1]))
+        ctx.cache["bounds"] = bounds
+    return bounds
 
 
 def _width_refs_of(port: Port) -> set[str]:
@@ -87,14 +115,8 @@ def _point_repr(params: Mapping[str, int] | None) -> str:
 )
 def check_null_port_range(ctx: RuleContext) -> Iterator[Violation]:
     module = _module(ctx)
-    env = ctx.env or {}
-    for port in module.ports:
-        if not port.ptype.is_vector():
-            continue
-        try:
-            high = _bound(port, "high", env)
-            low = _bound(port, "low", env)
-        except E.EvalError:
+    for port, high, low in _vector_bounds(ctx):
+        if isinstance(high, E.EvalError) or isinstance(low, E.EvalError):
             continue  # P002 reports unevaluable expressions
         if high is None or low is None:
             continue
@@ -131,17 +153,12 @@ def check_null_port_range(ctx: RuleContext) -> Iterator[Violation]:
 )
 def check_unevaluable_width(ctx: RuleContext) -> Iterator[Violation]:
     module = _module(ctx)
-    env = ctx.env or {}
-    for port in module.ports:
-        if not port.ptype.is_vector():
-            continue
-        for which in ("high", "low"):
-            try:
-                _bound(port, which, env)
-            except E.EvalError as exc:
+    for port, high, low in _vector_bounds(ctx):
+        for which, bound in (("high", high), ("low", low)):
+            if isinstance(bound, E.EvalError):
                 yield Violation(
                     f"port {port.name!r} {which} bound is not evaluable at "
-                    f"point ({_point_repr(ctx.params)}): {exc}",
+                    f"point ({_point_repr(ctx.params)}): {bound}",
                     module=module.name,
                     line=port.line,
                 )
@@ -194,7 +211,7 @@ def check_unknown_or_local_override(ctx: RuleContext) -> Iterator[Violation]:
     module = _module(ctx)
     if not ctx.params:
         return
-    known = {p.name.lower(): p for p in module.parameters}
+    known = module.parameter_map
     for name in sorted(ctx.params):
         param = known.get(name.lower())
         if param is None:
@@ -222,7 +239,7 @@ def check_subtype_violation(ctx: RuleContext) -> Iterator[Violation]:
     module = _module(ctx)
     if not ctx.params:
         return
-    known = {p.name.lower(): p for p in module.parameters}
+    known = module.parameter_map
     for name, value in sorted(ctx.params.items()):
         param = known.get(name.lower())
         if param is None or param.local:

@@ -1,7 +1,11 @@
 """Box construction and flow integration.
 
-:func:`build_box` selects the clock port, renders the language-appropriate
-box source, and returns a :class:`BoxArtifact`.  The artifact knows how to
+:func:`build_box` selects the clock port, records the wrapper's wiring
+(connection map, generic map, ``DONT_TOUCH``) and returns a
+:class:`BoxArtifact`; the language-appropriate box text is rendered from
+that wiring on first read of :attr:`BoxArtifact.source`, so a caller that
+only checks the wiring (the DRC boxing rules) never renders it.  The
+artifact knows how to
 *install* itself into a :class:`~repro.flow.vivado_sim.VivadoSim` session:
 it reads both sources in and registers a transient architectural model for
 the box top, which elaborates the inner module under the specialized
@@ -12,13 +16,14 @@ the box already carries them, exactly as Dovado's generated wrapper does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from repro.errors import NoClockPortError, ParameterOverrideError
 from repro.hdl.ast import HdlLanguage, Module
-from repro.boxing.verilog_box import render_verilog_box
-from repro.boxing.vhdl_box import render_vhdl_box
+from repro.boxing.verilog_box import render_verilog_box, verilog_generic_value
+from repro.boxing.vhdl_box import render_vhdl_box, vhdl_generic_value
 from repro.netlist import Block, Netlist
 from repro.synth.elaborate import elaborate, register_model
 
@@ -30,11 +35,23 @@ class BoxArtifact:
     """The generated box plus everything needed to run it."""
 
     top: str                     # box module name
-    source: str                  # box HDL text
     language: HdlLanguage
     inner: Module
     clock_port: str
     overrides: dict[str, int]
+    #: ``(port, net)`` in render order: the clock to ``clk`` first, then
+    #: every other port, in declaration order, to ``s_<port>``.
+    connections: tuple[tuple[str, str], ...]
+    #: ``(parameter, value text)`` for every free parameter, in order.
+    generics: tuple[tuple[str, str], ...]
+    dont_touch: bool = True
+
+    @cached_property
+    def source(self) -> str:
+        """The box HDL text, rendered from the wiring on first read."""
+        if self.language == HdlLanguage.VHDL:
+            return render_vhdl_box(self)
+        return render_verilog_box(self)
 
     def install(self, sim) -> None:
         """Read the inner + box sources into ``sim`` and register the model.
@@ -91,18 +108,19 @@ def build_box(
     parameter of the module.
     """
     overrides = {k: int(v) for k, v in (overrides or {}).items()}
-    free = {p.name.lower() for p in module.free_parameters()}
+    free = module.free_parameters()
+    free_names = {p.name.lower() for p in free}
     for name in overrides:
-        if name.lower() not in free:
+        if name.lower() not in free_names:
             raise ParameterOverrideError(
                 f"{module.name!r} has no free parameter {name!r}"
             )
-    # Canonicalize override keys to declared casing.
-    canonical: dict[str, int] = {}
-    for param in module.free_parameters():
-        for name, value in overrides.items():
-            if name.lower() == param.name.lower():
-                canonical[param.name] = value
+    # Canonicalize override keys to declared casing (a later spelling of
+    # the same name wins).
+    by_name = {k.lower(): v for k, v in overrides.items()}
+    canonical = {
+        p.name: by_name[p.name.lower()] for p in free if p.name.lower() in by_name
+    }
 
     if clock_port is None:
         clocks = module.clock_ports()
@@ -115,16 +133,23 @@ def build_box(
     else:
         module.port(clock_port)  # raises KeyError on unknown name
 
-    if module.language == HdlLanguage.VHDL:
-        source = render_vhdl_box(module, clock_port, canonical, box_name=box_name)
-    else:
-        source = render_verilog_box(module, clock_port, canonical, box_name=box_name)
+    clock = clock_port.lower()
+    connections = ((clock_port, "clk"),) + tuple(
+        (p.name, f"s_{p.name}") for p in module.ports if p.name.lower() != clock
+    )
+    generic_value = (
+        vhdl_generic_value if module.language == HdlLanguage.VHDL
+        else verilog_generic_value
+    )
+    env = module.default_environment() if free else {}
+    generics = tuple((p.name, generic_value(p, canonical, env)) for p in free)
 
     return BoxArtifact(
         top=box_name,
-        source=source,
         language=module.language,
         inner=module,
         clock_port=clock_port,
         overrides=canonical,
+        connections=connections,
+        generics=generics,
     )

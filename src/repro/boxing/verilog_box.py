@@ -7,14 +7,28 @@ values specialized in the instantiation.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from repro.hdl.ast import Direction, Module, Port
+from repro.hdl.ast import Direction, Parameter, Port
 
-__all__ = ["render_verilog_box"]
+if TYPE_CHECKING:
+    from repro.boxing.box import BoxArtifact
+
+__all__ = ["render_verilog_box", "verilog_generic_value"]
 
 
-def _net_decl(port: Port) -> str:
+def verilog_generic_value(
+    param: Parameter, overrides: Mapping[str, int], env: Mapping[str, int]
+) -> str:
+    """The text a free parameter is bound to in the instantiation."""
+    if param.name in overrides:
+        return str(int(overrides[param.name]))
+    if param.default is not None:
+        return param.default.render()
+    return str(env.get(param.name, 1))
+
+
+def _net_decl(port: Port, net: str) -> str:
     kind = "wire" if port.direction != Direction.IN else "reg"
     # Inputs of the boxed module are driven from box-internal registers (so
     # synthesis sees sequential fanin it cannot const-fold); outputs land on
@@ -23,45 +37,28 @@ def _net_decl(port: Port) -> str:
         rng = f"[{port.ptype.high.render()}:{port.ptype.low.render() if port.ptype.low else '0'}] "
     else:
         rng = ""
-    return f"  {kind} {rng}s_{port.name};"
+    return f"  {kind} {rng}{net};"
 
 
-def render_verilog_box(
-    module: Module,
-    clock_port: str,
-    overrides: Mapping[str, int],
-    box_name: str = "box",
-) -> str:
-    """Render the Verilog box module for ``module``."""
-    lines: list[str] = [f"module {box_name} ("]
+def render_verilog_box(box: "BoxArtifact") -> str:
+    """Render the Verilog box module from ``box``'s wiring."""
+    module = box.inner
+    ports = {p.name: p for p in module.ports}
+    lines: list[str] = [f"module {box.top} ("]
     lines.append("    input wire clk")
     lines.append(");")
-    other_ports = [p for p in module.ports if p.name.lower() != clock_port.lower()]
-    for port in other_ports:
-        lines.append(_net_decl(port))
+    for name, net in box.connections[1:]:
+        lines.append(_net_decl(ports[name], net))
     lines.append("")
-    lines.append('  (* DONT_TOUCH = "TRUE" *)')
-    free = [p for p in module.parameters if not p.local]
-    if free:
+    if box.dont_touch:
+        lines.append('  (* DONT_TOUCH = "TRUE" *)')
+    if box.generics:
         lines.append(f"  {module.name} #(")
-        pm: list[str] = []
-        env = module.default_environment()
-        for param in free:
-            if param.name in overrides:
-                value = str(int(overrides[param.name]))
-            elif param.default is not None:
-                value = param.default.render()
-            else:
-                value = str(env.get(param.name, 1))
-            pm.append(f"    .{param.name}({value})")
-        lines.append(",\n".join(pm))
+        lines.append(",\n".join(f"    .{name}({value})" for name, value in box.generics))
         lines.append("  ) BOXED (")
     else:
         lines.append(f"  {module.name} BOXED (")
-    conns = [f"    .{clock_port}(clk)"]
-    for port in other_ports:
-        conns.append(f"    .{port.name}(s_{port.name})")
-    lines.append(",\n".join(conns))
+    lines.append(",\n".join(f"    .{name}({net})" for name, net in box.connections))
     lines.append("  );")
     lines.append("endmodule")
     return "\n".join(lines) + "\n"

@@ -8,31 +8,49 @@ specialized in the generic map with the design point's values.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from repro.hdl.ast import Direction, Module, Port
+from repro.hdl.ast import Parameter, Port
 
-__all__ = ["render_vhdl_box"]
+if TYPE_CHECKING:
+    from repro.boxing.box import BoxArtifact
+
+__all__ = ["render_vhdl_box", "vhdl_generic_value"]
 
 
-def _fmt_generic_value(module: Module, name: str, value: int) -> str:
-    param = module.parameter(name)
+def _fmt_generic_value(param: Parameter, value: int) -> str:
     if param.is_boolean() and param.ptype.lower() == "boolean":
         return "true" if value else "false"
     return str(int(value))
 
 
-def _signal_decl(port: Port) -> str:
-    return f"  signal s_{port.name} : {port.ptype.render_vhdl()};"
-
-
-def render_vhdl_box(
-    module: Module,
-    clock_port: str,
-    overrides: Mapping[str, int],
-    box_name: str = "box",
+def vhdl_generic_value(
+    param: Parameter, overrides: Mapping[str, int], env: Mapping[str, int]
 ) -> str:
-    """Render the VHDL box entity + architecture for ``module``."""
+    """The text a free generic is bound to in the generic map."""
+    if param.name in overrides:
+        return _fmt_generic_value(param, overrides[param.name])
+    if param.default is not None:
+        # Boolean generics lex to 0/1; restore VHDL literals so the
+        # emitted box is legal VHDL.
+        default_v = param.default_value(env)
+        if param.ptype.lower() == "boolean" and default_v is not None:
+            return "true" if default_v else "false"
+        return param.default.render()
+    # No default and not overridden: bind a benign constant so the
+    # elaboration never fails on an open generic.
+    return _fmt_generic_value(param, env.get(param.name, 1))
+
+
+def _signal_decl(port: Port, net: str) -> str:
+    return f"  signal {net} : {port.ptype.render_vhdl()};"
+
+
+def render_vhdl_box(box: "BoxArtifact") -> str:
+    """Render the VHDL box entity + architecture from ``box``'s wiring."""
+    module = box.inner
+    box_name = box.top
+    ports = {p.name: p for p in module.ports}
     lines: list[str] = []
     for lib in dict.fromkeys(("ieee", *module.libraries)):
         if lib.lower() == "work":
@@ -51,41 +69,19 @@ def render_vhdl_box(
     lines.append(f"end entity {box_name};")
     lines.append("")
     lines.append(f"architecture {box_name}_arch of {box_name} is")
-    lines.append("  attribute DONT_TOUCH : string;")
-    lines.append('  attribute DONT_TOUCH of BOXED : label is "TRUE";')
-    other_ports = [p for p in module.ports if p.name.lower() != clock_port.lower()]
-    for port in other_ports:
-        lines.append(_signal_decl(port))
+    if box.dont_touch:
+        lines.append("  attribute DONT_TOUCH : string;")
+        lines.append('  attribute DONT_TOUCH of BOXED : label is "TRUE";')
+    for name, net in box.connections[1:]:
+        lines.append(_signal_decl(ports[name], net))
     lines.append("begin")
     lines.append(f"  BOXED: entity work.{module.name}")
-    free = [p for p in module.parameters if not p.local]
-    if free:
+    if box.generics:
         lines.append("    generic map (")
-        gm: list[str] = []
-        env = module.default_environment()
-        for param in free:
-            if param.name in overrides:
-                value = _fmt_generic_value(module, param.name, overrides[param.name])
-            elif param.default is not None:
-                # Boolean generics lex to 0/1; restore VHDL literals so the
-                # emitted box is legal VHDL.
-                default_v = param.default_value(env)
-                if param.ptype.lower() == "boolean" and default_v is not None:
-                    value = "true" if default_v else "false"
-                else:
-                    value = param.default.render()
-            else:
-                # No default and not overridden: bind a benign constant so the
-                # elaboration never fails on an open generic.
-                value = _fmt_generic_value(module, param.name, env.get(param.name, 1))
-            gm.append(f"      {param.name} => {value}")
-        lines.append(",\n".join(gm))
+        lines.append(",\n".join(f"      {name} => {value}" for name, value in box.generics))
         lines.append("    )")
     lines.append("    port map (")
-    pm = [f"      {clock_port} => clk"]
-    for port in other_ports:
-        pm.append(f"      {port.name} => s_{port.name}")
-    lines.append(",\n".join(pm))
+    lines.append(",\n".join(f"      {name} => {net}" for name, net in box.connections))
     lines.append("    );")
     lines.append(f"end architecture {box_name}_arch;")
     return "\n".join(lines) + "\n"

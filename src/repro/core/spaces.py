@@ -162,9 +162,11 @@ class ParameterSpace:
             raise InvalidSpaceError(
                 f"vector has {encoded.size} entries, space has {len(self.dimensions)}"
             )
+        # Clamp-then-truncate as np.clip did, on Python scalars: NaN
+        # survives both comparisons and int() raises ValueError on it.
         return {
-            d.name: d.decode(int(np.clip(e, d.low, d.high)))
-            for d, e in zip(self.dimensions, encoded)
+            d.name: d.decode(int(min(max(e, d.low), d.high)))
+            for d, e in zip(self.dimensions, encoded.tolist())
         }
 
     def encode(self, params: Mapping[str, int]) -> np.ndarray:

@@ -140,11 +140,11 @@ def loo_bandwidth(
     """Select the bandwidth minimizing LOO MSE.
 
     Returns ``(bandwidth, mse)``: the first grid candidate with the
-    lowest finite score.  Candidates ``<= 0`` are skipped.  The pairwise
-    squared-distance matrix is computed once (or taken from ``d2``) and
-    shared across the whole grid scan.  Raises
-    :class:`~repro.errors.BandwidthSelectionError` when no candidate
-    yields a finite score.
+    lowest finite score.  Candidates that are not ``> 0`` (zero, negative
+    or NaN) are skipped.  The pairwise squared-distance matrix is computed
+    once (or taken from ``d2``) and shared across the whole grid scan.
+    Raises :class:`~repro.errors.BandwidthSelectionError` when no
+    candidate yields a finite score.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y_norm, dtype=float))
@@ -155,9 +155,9 @@ def loo_bandwidth(
         masked = _off_diagonal(d2)
         grid = _grid_from_masked(masked)
     grid = np.asarray(grid, dtype=float)
-    # ``not h <= 0`` keeps a NaN candidate: its slice falls back and scores
-    # by nearest neighbours, as loo_mse does for it.
-    hs = grid[~(grid <= 0)]
+    # NaN fails ``> 0`` too: it is no bandwidth, though its nearest-
+    # neighbour score could be the lowest.
+    hs = grid[grid > 0]
     n = X.shape[0]
     if n < 2 and hs.size:
         raise BandwidthSelectionError("LOO needs at least two points")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from repro.hdl import expr as E
@@ -146,9 +147,24 @@ class Module:
     architecture: Optional[str] = None  # VHDL architecture name if seen
     line: int = 0
 
+    # Facts that do not depend on a design point are computed once per
+    # module: a frozen Module cannot change under a cached_property.
+
+    @cached_property
+    def _free_parameters(self) -> tuple[Parameter, ...]:
+        return tuple(p for p in self.parameters if not p.local)
+
     def free_parameters(self) -> tuple[Parameter, ...]:
         """Parameters usable as DSE dimensions (non-local)."""
-        return tuple(p for p in self.parameters if not p.local)
+        return self._free_parameters
+
+    @cached_property
+    def parameter_map(self) -> dict[str, Parameter]:
+        """Parameters keyed by lower-cased name (a later duplicate wins).
+
+        Shared by every caller of this module; treat it as read-only.
+        """
+        return {p.name.lower(): p for p in self.parameters}
 
     def parameter(self, name: str) -> Parameter:
         for p in self.parameters:
@@ -162,13 +178,8 @@ class Module:
                 return p
         raise KeyError(f"module {self.name!r} has no port {name!r}")
 
-    def default_environment(self) -> dict[str, int]:
-        """Parameter defaults, resolved in declaration order.
-
-        Later defaults may reference earlier parameters (``ADDR_WIDTH =
-        clog2(DEPTH)``), so evaluation threads the growing environment.
-        Non-evaluable defaults are skipped.
-        """
+    @cached_property
+    def _default_environment(self) -> dict[str, int]:
         env: dict[str, int] = {}
         for p in self.parameters:
             v = p.default_value(env)
@@ -176,8 +187,17 @@ class Module:
                 env[p.name] = v
         return env
 
-    def clock_ports(self) -> tuple[Port, ...]:
-        """Input scalar ports that look like clocks, best candidates first."""
+    def default_environment(self) -> dict[str, int]:
+        """Parameter defaults, resolved in declaration order (a fresh copy).
+
+        Later defaults may reference earlier parameters (``ADDR_WIDTH =
+        clog2(DEPTH)``), so evaluation threads the growing environment.
+        Non-evaluable defaults are skipped.
+        """
+        return dict(self._default_environment)
+
+    @cached_property
+    def _clock_ports(self) -> tuple[Port, ...]:
         found: list[tuple[int, Port]] = []
         for port in self.ports:
             if port.direction != Direction.IN or port.ptype.is_vector():
@@ -193,8 +213,12 @@ class Module:
         found.sort(key=lambda rp: rp[0])
         return tuple(p for _, p in found)
 
+    def clock_ports(self) -> tuple[Port, ...]:
+        """Input scalar ports that look like clocks, best candidates first."""
+        return self._clock_ports
+
     def total_port_bits(self, env: dict[str, int] | None = None) -> int:
-        full_env = dict(self.default_environment())
+        full_env = self.default_environment()
         if env:
             full_env.update(env)
         return sum(p.width(full_env) for p in self.ports)

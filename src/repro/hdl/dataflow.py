@@ -632,7 +632,7 @@ class ParameterDependencyGraph:
     _sinks: dict[str, Sink] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        params = {p.name.lower(): p for p in self.module.parameters}
+        params = self.module.parameter_map
 
         def connect(expr: E.Expr, sink_id: str, sink: Sink) -> None:
             refs = [n.lower() for n in E.free_names(expr)]

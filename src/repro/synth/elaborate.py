@@ -73,7 +73,7 @@ def resolve_environment(
     """
     env = module.default_environment()
     overrides = overrides or {}
-    known = {p.name.lower(): p for p in module.parameters}
+    known = module.parameter_map
     for name, value in overrides.items():
         param = known.get(name.lower())
         if param is None:

@@ -6,7 +6,9 @@ and one kernel matrix, per grid candidate.  It is kept verbatim (with the
 Gaussian kernel of :mod:`repro.estimation.kernels` inlined) so the oracle
 test can assert that the stacked scan returns exactly the same
 ``(bandwidth, mse)`` (``==``, not approximately).  Do not "improve" it:
-its value is that it does not change.
+its value is that it does not change.  One change was made on purpose: a
+NaN grid candidate is skipped (``not h > 0``), where it used to be scored
+by nearest neighbours and could be returned as the bandwidth.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ def reference_loo_bandwidth(
     best_h: float | None = None
     best_mse = np.inf
     for h in np.asarray(grid, dtype=float):
-        if h <= 0:
+        if not h > 0:  # NaN too (changed on purpose: it used to be kept)
             continue
         mse = reference_loo_mse(X, Y_norm, float(h), d2=d2)
         if np.isfinite(mse) and mse < best_mse:

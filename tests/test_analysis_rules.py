@@ -6,6 +6,8 @@ configuration behaviour (disable, severity override, baseline) and the
 boundary-point sweep over every built-in case-study design.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.analysis import (
@@ -20,6 +22,7 @@ from repro.analysis import (
     rules_for_stage,
 )
 from repro.analysis.registry import rule as register_rule
+from repro.boxing import build_box
 from repro.core.spaces import IntRange, ParameterSpace, PowerOfTwoRange
 from repro.designs import all_designs
 from repro.hdl.ast import HdlLanguage
@@ -319,15 +322,13 @@ class TestElaborationRules:
         assert "P005" not in point_codes(module, {"EN": 1}, boxed=False)
 
 
-class _FakeBox:
-    def __init__(self, source, clock_port="clk"):
-        self.source = source
-        self.clock_port = clock_port
-        self.language = HdlLanguage.SYSTEMVERILOG
+def corrupt_box(module, **wiring):
+    """The real wrapper of ``module`` at W=8 with its wiring replaced."""
+    return dataclasses.replace(build_box(module, {"W": 8}), **wiring)
 
 
 def run_boxing_rule(code, module, box):
-    """Run one boxing rule with a pre-rendered (possibly corrupt) wrapper."""
+    """Run one boxing rule with a pre-built (possibly corrupt) wrapper."""
     ctx = RuleContext(module=module, params={}, boxed=True)
     ctx.cache["box"] = box
     return [v.message for v in get_rule(code).check(ctx)]
@@ -348,19 +349,15 @@ class TestBoxingRules:
 
     def test_b002_detects_unwired_port(self):
         module = sv_module(CLEAN_SV)
-        broken = _FakeBox(
-            "(* DONT_TOUCH = \"TRUE\" *) clean #(.W(8)) dut "
-            "(.clk(clk), .d(s_d));"  # q left unwired
+        broken = corrupt_box(
+            module, connections=(("clk", "clk"), ("d", "s_d"))  # q left unwired
         )
         messages = run_boxing_rule("B002", module, broken)
         assert any("'q'" in m for m in messages)
 
     def test_b002_detects_unspecialized_generic(self):
         module = sv_module(CLEAN_SV)
-        broken = _FakeBox(
-            "(* DONT_TOUCH = \"TRUE\" *) clean dut "
-            "(.clk(clk), .d(s_d), .q(s_q));"  # W not specialized
-        )
+        broken = corrupt_box(module, generics=())  # W not specialized
         messages = run_boxing_rule("B002", module, broken)
         assert any("'W'" in m for m in messages)
 
@@ -370,7 +367,7 @@ class TestBoxingRules:
 
     def test_b003_missing_dont_touch(self):
         module = sv_module(CLEAN_SV)
-        broken = _FakeBox("clean #(.W(8)) dut (.clk(clk), .d(s_d), .q(s_q));")
+        broken = corrupt_box(module, dont_touch=False)
         assert run_boxing_rule("B003", module, broken)
 
     def test_b003_negative_real_wrapper(self):
@@ -379,9 +376,8 @@ class TestBoxingRules:
 
     def test_b004_clock_not_reaching_pin(self):
         module = sv_module(CLEAN_SV)
-        broken = _FakeBox(
-            "(* DONT_TOUCH = \"TRUE\" *) clean #(.W(8)) dut "
-            "(.clk(1'b0), .d(s_d), .q(s_q));"
+        broken = corrupt_box(
+            module, connections=(("clk", "1'b0"), ("d", "s_d"), ("q", "s_q"))
         )
         assert run_boxing_rule("B004", module, broken)
 

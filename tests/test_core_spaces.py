@@ -1,7 +1,10 @@
 """Tests for parameter spaces and encodings."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.spaces import (
     BoolParam,
@@ -119,6 +122,61 @@ class TestParameterSpace:
         space = self._space()
         out = space.decode_many(np.array([[8, 3, 0], [40, 6, 1]]))
         assert out[0]["MEM"] == 8 and out[1]["MEM"] == 64
+
+
+def _np_clip_decode(space, encoded):
+    """The decode expression ``ParameterSpace.decode`` used before: one
+    ``np.clip`` per scalar."""
+    encoded = np.asarray(encoded).ravel()
+    return {
+        d.name: d.decode(int(np.clip(e, d.low, d.high)))
+        for d, e in zip(space.dimensions, encoded)
+    }
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared by type and text
+        return f"{type(exc).__name__}: {exc}"
+
+
+_SPACE = ParameterSpace([
+    IntRange("A", -3, 40),
+    PowerOfTwoRange("B", 0, 6),
+    BoolParam("C"),
+])
+
+_scalars = st.one_of(
+    st.integers(-100, 100),                                   # in and out of range
+    st.integers(-(2**62), 2**62),
+    st.floats(-100, 100),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300, -1e300]),
+)
+
+
+class TestDecodeMatchesNpClip:
+    @given(row=st.lists(_scalars, min_size=3, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_python_scalars(self, row):
+        assert _outcome(_SPACE.decode, row) == _outcome(_np_clip_decode, _SPACE, row)
+
+    @given(row=st.lists(st.integers(-(2**62), 2**62), min_size=3, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_int64_rows(self, row):
+        X = np.array([row], dtype=np.int64)
+        assert _SPACE.decode_many(X) == [_np_clip_decode(_SPACE, X[0])]
+        assert _SPACE.decode(X[0]) == _np_clip_decode(_SPACE, X[0])
+
+    @given(row=st.lists(st.one_of(st.floats(-1e6, 1e6), st.just(math.nan)), min_size=3, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_float64_rows(self, row):
+        x = np.array(row, dtype=float)
+        assert _outcome(_SPACE.decode, x) == _outcome(_np_clip_decode, _SPACE, x)
+
+    def test_nan_raises_value_error(self):
+        with pytest.raises(ValueError, match="NaN"):
+            _SPACE.decode([math.nan, 0, 0])
 
 
 class TestFromDesign:

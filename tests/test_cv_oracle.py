@@ -20,13 +20,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import BandwidthSelectionError
 from repro.estimation import ControlModel, Dataset
 from repro.estimation import cross_validation as cv
 from repro.estimation.distance_cache import DistanceCache
 from repro.observe import telemetry_session
 from tests import _reference_cv as ref
 
-#: Grid entries beyond the positive range: skipped (<= 0), kept (NaN, inf)
+#: Grid entries beyond the positive range: skipped (<= 0, NaN), kept (inf)
 #: or so small that every off-diagonal weight underflows.
 ODD_BANDWIDTHS = (0.0, -0.0, -1.0, math.nan, math.inf, 1e-300, 1e-12)
 
@@ -165,6 +166,24 @@ class TestAgainstReference:
             _outcome(cv.loo_bandwidth, X, Y, grid=grid),
             _outcome(ref.reference_loo_bandwidth, X, Y, grid=grid),
         )
+
+
+class TestNanGrid:
+    """A NaN grid entry is not a bandwidth: it is skipped like ``<= 0``."""
+
+    X = np.array([[0.0], [1.0], [2.0], [10.0]])
+    Y = np.array([[0.0], [0.0], [0.0], [5.0]])
+
+    def test_nan_entry_cannot_win(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            h, mse = cv.loo_bandwidth(self.X, self.Y, grid=np.array([math.nan, 5.0, 50.0]))
+        assert (h, mse) == cv.loo_bandwidth(self.X, self.Y, grid=np.array([5.0, 50.0]))
+        assert not math.isnan(h)
+
+    def test_all_nan_grid_raises(self):
+        with pytest.raises(BandwidthSelectionError, match="no bandwidth"):
+            cv.loo_bandwidth(self.X, self.Y, grid=np.array([math.nan, math.nan]))
 
 
 class TestFallbackCounter:
