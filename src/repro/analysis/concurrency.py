@@ -172,6 +172,8 @@ class _Module:
     imports: dict[str, str] = field(default_factory=dict)
     functions: dict[str, _Func] = field(default_factory=dict)  # qualname ->
     classes: dict[str, _Class] = field(default_factory=dict)
+    # module-level name -> class it is built from (``_MEMO = _Memo(..)``)
+    instances: dict[str, str] = field(default_factory=dict)
 
 
 def _dotted_of(path: str) -> str:
@@ -280,6 +282,18 @@ class _Program:
                             mod, sub, cls=stmt.name, parent=None
                         )
                         cls.methods[sub.name] = func
+        for stmt in tree.body:
+            # A module-level instance of a class defined here: calls on it
+            # resolve to that class's methods.
+            if (
+                isinstance(stmt, ast.Assign)
+                and len(stmt.targets) == 1
+                and isinstance(stmt.targets[0], ast.Name)
+                and isinstance(stmt.value, ast.Call)
+                and isinstance(stmt.value.func, ast.Name)
+                and stmt.value.func.id in mod.classes
+            ):
+                mod.instances[stmt.targets[0].id] = stmt.value.func.id
         self.modules[path] = mod
         self.by_dotted[mod.dotted] = mod
 
@@ -369,6 +383,10 @@ class _Program:
                 root = mod.imports.get(base.id)
                 if root is not None:
                     return self._canon_dotted(root + "." + ".".join(attrs))
+                owner = mod.instances.get(base.id)
+                if owner is not None and len(attrs) == 1:
+                    if f"{owner}.{attrs[0]}" in mod.functions:
+                        return f"fn:{mod.path}::{owner}.{attrs[0]}"
             return f"attr:{attrs[-1]}"
         return "ext:<dynamic>"
 
@@ -1308,7 +1326,31 @@ class _Program:
             )
 
     def _s005_json(self, cls: _Class, func: _Func) -> None:
-        guarded_spans: list[tuple[int, int]] = []
+        # Same-module helpers outside the class (module functions, methods
+        # of module-level instances) decode on the method's behalf.
+        helpers = {h.key: h for h in self._json_helpers(cls, func, 0, {func.key})}
+        for site in (func, *helpers.values()):
+            where = f"`{func.qualname}`"
+            if site is not func:
+                where = f"`{site.qualname}`, called from {where}"
+            for line in self._unguarded_json_loads(site):
+                self.violations["S005"].append(
+                    Violation(
+                        message=(
+                            f"unguarded json.loads in {where} of a "
+                            "multi-process class; a corrupt line from a "
+                            "crashed writer crashes every reader — catch "
+                            "JSONDecodeError and count the skip"
+                        ),
+                        module=site.module.path,
+                        line=line,
+                    )
+                )
+
+    @staticmethod
+    def _json_guarded_spans(func: _Func) -> list[tuple[int, int]]:
+        """Line spans of ``try`` bodies that catch a JSON decode error."""
+        spans: list[tuple[int, int]] = []
         for inner in _walk_no_nested(func.node):
             if isinstance(inner, ast.Try) and inner.handlers:
                 handled = " ".join(
@@ -1322,25 +1364,42 @@ class _Program:
                         getattr(n, "end_lineno", inner.lineno)
                         for n in inner.body
                     )
-                    guarded_spans.append((inner.lineno, end))
+                    spans.append((inner.lineno, end))
+        return spans
+
+    def _unguarded_json_loads(self, func: _Func) -> list[int]:
+        guarded = self._json_guarded_spans(func)
+        return [
+            call.lineno
+            for call in _calls_in(func.node)
+            if self._call_target(func, call) == "ext:json.loads"
+            and not any(lo <= call.lineno <= hi for lo, hi in guarded)
+        ]
+
+    def _json_helpers(
+        self, cls: _Class, func: _Func, depth: int, stack: set[str]
+    ) -> list[_Func]:
+        """Same-module functions outside ``cls`` that ``func`` reaches
+        through calls no JSON-error handler of the caller guards."""
+        if depth >= _CALL_DEPTH:
+            return []
+        guarded = self._json_guarded_spans(func)
+        out: list[_Func] = []
         for call in _calls_in(func.node):
-            if self._call_target(func, call) != "ext:json.loads":
+            callee = self._target_func(self._call_target(func, call))
+            if (
+                callee is None
+                or callee.module is not func.module
+                or callee.cls == cls.name
+                or callee.key in stack
+                or any(lo <= call.lineno <= hi for lo, hi in guarded)
+            ):
                 continue
-            line = call.lineno
-            if any(lo <= line <= hi for lo, hi in guarded_spans):
-                continue
-            self.violations["S005"].append(
-                Violation(
-                    message=(
-                        f"unguarded json.loads in `{func.qualname}` of a "
-                        "multi-process class; a corrupt line from a crashed "
-                        "writer crashes every reader — catch "
-                        "JSONDecodeError and count the skip"
-                    ),
-                    module=func.module.path,
-                    line=line,
-                )
+            out.append(callee)
+            out.extend(
+                self._json_helpers(cls, callee, depth + 1, stack | {callee.key})
             )
+        return out
 
     def _class_mentions_rank(self, cls: _Class) -> bool:
         return any(

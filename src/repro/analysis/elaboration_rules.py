@@ -74,7 +74,7 @@ def _vector_bounds(ctx: RuleContext) -> list[tuple[Port, Bound, Bound]]:
     """
     bounds = ctx.cache.get("bounds")
     if bounds is None:
-        env = ctx.env or {}
+        env = E.fold_env(ctx.env or {})
         bounds = []
         for port in _module(ctx).ports:
             if not port.ptype.is_vector():

@@ -45,6 +45,22 @@ the lock file:
   and index before re-reading — otherwise a process that indexed the old
   segments would keep serving deleted records forever (its byte offsets
   exceed the recreated segments' sizes, so the tail scan finds nothing).
+- **Decoded-segment memo**: a handle that reads a segment from offset 0
+  (a fresh open, or the re-read after a generation reset) consults a
+  per-process memo of that segment's last decoded text.  The memo is
+  reused only when the text just read *starts with* the memoised text,
+  and then only the rest is decoded; the handle still folds every
+  record into its own index in file order.  Decoding is a pure function
+  of the text, so a memo-built index equals a cold-decoded one whatever
+  happened to the file in between (appends, a clear, a directory
+  deleted and recreated at the same path).  The memo holds at most
+  :data:`_MEMO_MAX_CHARS` characters of text, least recently used out
+  first.  Memoised records — payload dicts included — are shared by
+  every handle that reads them and must never be mutated.
+- **Vanishing segments**: a lockless refresh can race another process's
+  ``clear()``/``compact()``; a segment that disappears between the glob
+  and its read ends that pass, and the generation is checked again
+  before a second pass, so a lookup hits or misses but never raises.
 - **Defensive reads**: segment scans only consider files named
   ``seg-<digits>.jsonl``; foreign files dropped into the segments
   directory are ignored rather than crashing rotation, and complete
@@ -61,6 +77,8 @@ from __future__ import annotations
 import json
 import os
 import re
+import threading
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -88,6 +106,11 @@ _SEGMENT_PREFIX = "seg-"
 _SEGMENT_NAME = re.compile(rf"^{_SEGMENT_PREFIX}(\d+)\.jsonl$")
 _DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
 
+#: Bound on the decoded-segment memo, in characters of memoised text
+#: (store lines are ASCII JSON, so characters are bytes): four full
+#: default-sized segments.
+_MEMO_MAX_CHARS = 4 * _DEFAULT_SEGMENT_BYTES
+
 #: Rank of records written without one (pre-ladder stores): they came from
 #: the full flow and must stay authoritative over low-fidelity probes.
 FULL_RANK = 2
@@ -114,6 +137,87 @@ def _encode_record(record: StoredResult) -> str:
     if record.rank != FULL_RANK:
         obj["rank"] = record.rank
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _decode_lines(text: str) -> tuple[tuple[StoredResult, ...], int]:
+    """The records of some whole JSONL lines, in order, plus how many
+    complete lines did not decode to a record."""
+    records: list[StoredResult] = []
+    corrupt = 0
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+            records.append(
+                StoredResult(
+                    key=str(obj["key"]),
+                    kind=str(obj["kind"]),
+                    payload=dict(obj.get("payload", {})),
+                    rank=int(obj.get("rank", FULL_RANK)),
+                )
+            )
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+            # A complete line that does not decode to a record: corruption
+            # from a crashed/foreign writer.  Skip it but keep count —
+            # silent data loss is how stale-cache bugs hide.
+            corrupt += 1
+    return tuple(records), corrupt
+
+
+@dataclass(frozen=True)
+class _DecodedSegment:
+    """A segment's consumed text (whole lines from offset 0) decoded."""
+
+    text: str
+    records: tuple[StoredResult, ...]
+    corrupt_lines: int
+
+
+class _SegmentMemo:
+    """Per-process LRU of decoded segments, keyed by segment path and
+    bounded by the total length of the memoised text."""
+
+    def __init__(self, max_chars: int) -> None:
+        self.max_chars = int(max_chars)
+        self._lock = threading.Lock()
+        self._entries: OrderedDict[str, _DecodedSegment] = OrderedDict()
+        self._chars = 0
+
+    def decode(
+        self, key: str, text: str
+    ) -> tuple[tuple[StoredResult, ...], int]:
+        """:func:`_decode_lines` of ``text``, reusing the memo for ``key``
+        when ``text`` starts with the memoised text (only the rest is
+        decoded then)."""
+        with self._lock:
+            memo = self._entries.get(key)
+            if memo is not None:
+                self._entries.move_to_end(key)
+        if memo is not None and text.startswith(memo.text):
+            if len(text) == len(memo.text):
+                return memo.records, memo.corrupt_lines
+            records, corrupt = _decode_lines(text[len(memo.text):])
+            entry = _DecodedSegment(
+                text, memo.records + records, memo.corrupt_lines + corrupt
+            )
+        else:
+            entry = _DecodedSegment(text, *_decode_lines(text))
+        with self._lock:
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self._chars -= len(old.text)
+            if len(entry.text) <= self.max_chars:
+                self._entries[key] = entry
+                self._chars += len(entry.text)
+            while self._chars > self.max_chars:
+                _, evicted = self._entries.popitem(last=False)
+                self._chars -= len(evicted.text)
+        return entry.records, entry.corrupt_lines
+
+
+_MEMO = _SegmentMemo(_MEMO_MAX_CHARS)
 
 
 @dataclass(frozen=True)
@@ -306,54 +410,62 @@ class ResultStore:
         or compacted the store since this process last looked (MANIFEST
         generation mismatch), the local offsets and index are reset first
         — the old byte offsets are meaningless against recreated segments
-        and the old index entries may reference deleted records.
+        and the old index entries may reference deleted records.  A
+        segment read from offset 0 is decoded through the per-process
+        memo; a segment that vanishes mid-pass ends it, and the pass is
+        redone once if the generation moved meanwhile.
         """
-        stored_generation = self._stored_generation()
-        if stored_generation != self._generation:
-            self._index.clear()
-            self._offsets.clear()
-            self._records_seen = 0
-            self._generation = stored_generation
-        added = 0
-        for path in self._segment_paths():
-            name = path.name
-            offset = self._offsets.get(name, 0)
-            size = path.stat().st_size
-            if size <= offset:
-                continue
-            with path.open("r", encoding="utf-8") as fh:
-                fh.seek(offset)
-                tail = fh.read()
-            # Only consume whole lines: a concurrent writer may be mid-append.
-            consumed = tail.rfind("\n") + 1
-            if consumed <= 0:
-                continue
-            for line in tail[:consumed].splitlines():
-                line = line.strip()
-                if not line:
-                    continue
+        self._sync_generation()
+        for _ in range(2):
+            added = 0
+            for path in self._segment_paths():
+                name = path.name
+                offset = self._offsets.get(name, 0)
                 try:
-                    obj = json.loads(line)
-                    record = StoredResult(
-                        key=str(obj["key"]),
-                        kind=str(obj["kind"]),
-                        payload=dict(obj.get("payload", {})),
-                        rank=int(obj.get("rank", FULL_RANK)),
-                    )
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                    # A complete line that does not decode to a record:
-                    # corruption from a crashed/foreign writer.  Skip it but
-                    # keep count — silent data loss is how stale-cache bugs
-                    # hide.
-                    self.corrupt_lines += 1
+                    if path.stat().st_size <= offset:
+                        continue
+                    with path.open("r", encoding="utf-8") as fh:
+                        fh.seek(offset)
+                        tail = fh.read()
+                except FileNotFoundError:
+                    break  # another process is clearing or compacting
+                # Only consume whole lines: a concurrent writer may be
+                # mid-append.
+                consumed = tail.rfind("\n") + 1
+                if consumed <= 0:
                     continue
-                self._records_seen += 1
-                existing = self._index.get(record.key)
-                if existing is None or record.rank > existing.rank:
-                    self._index[record.key] = record
-                added += 1
-            self._offsets[name] = offset + consumed
+                if offset == 0:
+                    records, corrupt = _MEMO.decode(str(path), tail[:consumed])
+                else:
+                    records, corrupt = _decode_lines(tail[:consumed])
+                self.corrupt_lines += corrupt
+                index = self._index
+                for record in records:
+                    existing = index.get(record.key)
+                    if existing is None or record.rank > existing.rank:
+                        index[record.key] = record
+                self._records_seen += len(records)
+                added += len(records)
+                self._offsets[name] = offset + consumed
+            else:
+                return added
+            # A segment vanished mid-pass: redo the pass once if its
+            # clear()/compact() has published a new generation by now.
+            if not self._sync_generation():
+                return added
         return added
+
+    def _sync_generation(self) -> bool:
+        """Reset offsets and index if MANIFEST's generation moved;
+        returns whether it did."""
+        stored_generation = self._stored_generation()
+        if stored_generation == self._generation:
+            return False
+        self._index.clear()
+        self._offsets.clear()
+        self._records_seen = 0
+        self._generation = stored_generation
+        return True
 
     # -- API ---------------------------------------------------------------
 

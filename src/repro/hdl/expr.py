@@ -27,7 +27,9 @@ __all__ = [
     "Cond",
     "Call",
     "EvalError",
+    "FoldedEnv",
     "evaluate",
+    "fold_env",
     "free_names",
 ]
 
@@ -157,6 +159,20 @@ def _as_int(value: int | str | bool) -> int:
     return int(value)
 
 
+class FoldedEnv(dict):
+    """A parameter environment whose names are already lower-cased.
+
+    :func:`evaluate` looks names up in it directly instead of folding it
+    again, so a caller evaluating many expressions under one environment
+    folds it once with :func:`fold_env`.
+    """
+
+
+def fold_env(env: Mapping[str, int | str | bool]) -> FoldedEnv:
+    """``env`` with lower-cased names (a later duplicate name wins)."""
+    return FoldedEnv({k.lower(): v for k, v in env.items()})
+
+
 def evaluate(expr: Expr, env: Mapping[str, int | str | bool] | None = None) -> int:
     """Evaluate ``expr`` to an integer under parameter environment ``env``.
 
@@ -165,8 +181,11 @@ def evaluate(expr: Expr, env: Mapping[str, int | str | bool] | None = None) -> i
     parameters with consistent casing).
     """
     env = env or {}
-    # Folded on the first name lookup: most expressions reference none.
-    folded: dict[str, int | str | bool] | None = None
+    # Folded on the first name lookup (most expressions reference none),
+    # unless the caller already folded it.
+    folded: Mapping[str, int | str | bool] | None = (
+        env if isinstance(env, FoldedEnv) else None
+    )
 
     def ev(node: Expr) -> int:
         nonlocal folded

@@ -228,6 +228,31 @@ class TestS003:
         findings = check(("app/pair.py", src))
         assert codes(findings) == ["S003"]
 
+    def test_module_level_instance_calls_resolve(self):
+        src = (
+            "import threading\n"
+            "\n"
+            "class Memo:\n"
+            "    def __init__(self):\n"
+            "        self._lock = threading.Lock()\n"
+            "\n"
+            "    def touch(self):\n"
+            "        with self._lock:\n"
+            "            pass\n"
+            "\n"
+            "_MEMO = Memo()\n"
+            "\n"
+            "class Store:\n"
+            "    def __init__(self):\n"
+            "        self._a = threading.Lock()\n"
+            "\n"
+            "    def read(self):\n"
+            "        with self._a:\n"
+            "            _MEMO.touch()\n"
+        )
+        graph = static_lock_graph([("app/memo.py", src)])
+        assert graph.has_edge("app/memo.py::Store._a", "app/memo.py::Memo._lock")
+
     def test_synthetic_lock_graph_shape(self):
         graph = static_lock_graph([("app/pair.py", _S003_HEAD)])
         assert set(graph.nodes) == {
@@ -388,6 +413,35 @@ class TestS005:
         )
         assert check(("app/store.py", src)) == []
 
+    def test_unguarded_json_loads_in_a_helper_flagged(self):
+        src = "import json\n" + _S005_ATOMIC + (
+            "\n"
+            "    def load(self):\n"
+            "        return _decode(self._path.read_text())\n"
+            "\n"
+            "\n"
+            "def _decode(text):\n"
+            "    return json.loads(text)\n"
+        )
+        findings = check(("app/store.py", src))
+        assert codes(findings) == ["S005"]
+        assert "`_decode`, called from `Store.load`" in findings[0].message
+
+    def test_helper_guarded_at_the_call_site_clean(self):
+        src = "import json\n" + _S005_ATOMIC + (
+            "\n"
+            "    def load(self):\n"
+            "        try:\n"
+            "            return _decode(self._path.read_text())\n"
+            "        except (OSError, ValueError):\n"
+            "            return None\n"
+            "\n"
+            "\n"
+            "def _decode(text):\n"
+            "    return json.loads(text)\n"
+        )
+        assert check(("app/store.py", src)) == []
+
     def test_caller_owned_export_path_clean(self):
         src = _S005_ATOMIC + (
             "\n"
@@ -526,6 +580,13 @@ class TestSelfAnalysis:
         ):
             assert symbol in graph.nodes, symbol
         assert graph.cycles() == []
+
+    def test_store_flock_orders_before_the_segment_memo(self):
+        graph = static_lock_graph(collect_py_sources())
+        assert graph.has_edge(
+            "repro/cache/store.py::ResultStore.<flock>",
+            "repro/cache/store.py::_SegmentMemo._lock",
+        )
 
     def test_seeded_order_is_in_the_graph(self):
         graph = static_lock_graph(collect_py_sources())

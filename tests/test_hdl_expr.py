@@ -28,6 +28,20 @@ class TestEvaluate:
         e = E.BinOp("-", E.Name("Width"), E.Num(1))
         assert E.evaluate(e, {"WIDTH": 8}) == 7
 
+    def test_prefolded_environment_answers_like_the_raw_one(self):
+        env = {"WIDTH": 8, "width": 9, "Depth": "TRUE", "N": 3}
+        folded = E.fold_env(env)
+        assert isinstance(folded, E.FoldedEnv)
+        for e in (
+            E.BinOp("-", E.Name("Width"), E.Num(1)),
+            E.BinOp("+", E.Name("depth"), E.Name("n")),
+            E.Num(4),
+        ):
+            assert E.evaluate(e, folded) == E.evaluate(e, env)
+        with pytest.raises(E.EvalError, match="unbound name 'M'"):
+            E.evaluate(E.Name("M"), folded)
+        assert E.evaluate(E.Num(1), E.fold_env({})) == 1
+
     def test_unbound_name_raises(self):
         with pytest.raises(E.EvalError, match="unbound"):
             E.evaluate(E.Name("MISSING"))

@@ -25,7 +25,7 @@ import pytest
 
 from tests._sanitize_support import lock_order_guard
 
-from repro.cache import FULL_RANK, KIND_POINT, ResultStore
+from repro.cache import FULL_RANK, KIND_POINT, ResultStore, ShardedResultStore
 
 
 @pytest.fixture(autouse=True)
@@ -242,3 +242,84 @@ class TestCompaction:
         result = store.compact()
         assert result.records_before == result.records_after == 0
         assert store.put("k", KIND_POINT, {}) is True
+
+
+def _race_after_glob(store: ResultStore, action) -> None:
+    """Run ``action`` once, right after ``store``'s next segment glob —
+    the window between listing the segments and reading them."""
+    glob = store._segment_paths
+    fired = []
+
+    def racing():
+        paths = glob()
+        if not fired:
+            fired.append(True)
+            action()
+        return paths
+
+    store._segment_paths = racing
+
+
+def _fill(root, opener) -> None:
+    """Probe + full-route records for 12 keys over many small segments,
+    so a compaction leaves fewer segments than it found."""
+    writer = opener(root)
+    for i in range(12):
+        writer.put(f"k-{i}", KIND_POINT, {"fidelity": "probe", "i": i}, rank=0)
+        writer.put(f"k-{i}", KIND_POINT, {"fidelity": "full", "i": i})
+
+
+def _flat(root):
+    return ResultStore(root, segment_max_bytes=256)
+
+
+def _sharded(root):
+    return ShardedResultStore(root, shards=2, segment_max_bytes=256)
+
+
+def _shard_of(store, key: str) -> ResultStore:
+    if isinstance(store, ShardedResultStore):
+        return store._store_for(key)
+    return store
+
+
+class TestRefreshRacingMaintenance:
+    """A lockless ``get()`` refresh can list the segments, then lose them
+    to another handle's ``clear()``/``compact()`` before reading them;
+    that raised ``FileNotFoundError`` out of ``get()``."""
+
+    @pytest.mark.parametrize("opener", [_flat, _sharded], ids=["flat", "sharded"])
+    def test_get_after_a_racing_clear_misses(self, tmp_path, opener):
+        root = tmp_path / "store"
+        _fill(root, opener)
+        reader = opener(root)
+        assert len(reader) == 12
+        opener(root).put("late", KIND_POINT, {"v": 1})
+        _race_after_glob(_shard_of(reader, "late"), lambda: opener(root).clear())
+
+        assert reader.get("late") is None
+        # len() refreshes every shard; a hit is served from the index
+        # until a refresh, so check the other keys only after it.
+        assert len(reader) == 0
+        assert reader.get("k-0") is None
+        assert reader.keys() == opener(root).keys() == []
+
+    @pytest.mark.parametrize("opener", [_flat, _sharded], ids=["flat", "sharded"])
+    def test_get_after_a_racing_compact_hits(self, tmp_path, opener):
+        root = tmp_path / "store"
+        _fill(root, opener)
+        reader = opener(root)
+        assert len(reader) == 12
+        opener(root).put("late", KIND_POINT, {"v": 1})
+        shard = _shard_of(reader, "late")
+        segments_before = len(shard._segment_paths())
+        _race_after_glob(shard, lambda: opener(root).compact())
+
+        record = reader.get("late")
+        assert record is not None and record.payload == {"v": 1}
+        assert len(shard._segment_paths()) < segments_before
+        fresh = opener(root)
+        assert {r.key: r for r in reader.records()} == {
+            r.key: r for r in fresh.records()
+        }
+        assert all(r.rank == FULL_RANK for r in reader.records())
