@@ -647,15 +647,17 @@ class ResultStore:
         return path
 
     def stats(self) -> StoreStats:
-        self.refresh()
-        segments = self._segment_paths()
+        # Locked: no clear()/compact() may delete a segment before its stat().
+        with self._locked():
+            self.refresh()
+            sizes = [p.stat().st_size for p in self._segment_paths()]
         return StoreStats(
             path=str(self.root),
-            segments=len(segments),
+            segments=len(sizes),
             records=self._records_seen,
             unique_keys=len(self._index),
             duplicates=self._records_seen - len(self._index),
-            size_bytes=sum(p.stat().st_size for p in segments),
+            size_bytes=sum(sizes),
             hits=self.hits,
             misses=self.misses,
             puts=self.puts,

@@ -28,6 +28,7 @@ from repro.core.pipeline import (
     EvaluationFailure,
     EvaluatorSpec,
     PointStore,
+    drc_failure,
     replay,
     run_tool,
 )
@@ -296,7 +297,6 @@ class ApproximateFitness:
         params: dict[str, int],
         error_type: str,
         charge_s: float | None = None,
-        record_ledger: bool = False,
     ) -> np.ndarray:
         """Bookkeeping for an infeasible run (shared serial/batch path).
 
@@ -306,11 +306,8 @@ class ApproximateFitness:
         ``infeasible:TYPE`` source and charge the *partial* tool time the
         failed run actually spent (``charge_s``, floored at the tool's
         cache-answer overhead) — Vivado errors late, and a failed point is
-        not free against the soft deadline.
-
-        ``record_ledger`` is set only by call sites where no lower layer
-        (evaluator, worker, parallel memo) has already written the point's
-        ledger record — every evaluated point gets exactly one.
+        not free against the soft deadline.  The point's ledger row is
+        already written by whichever layer answered it.
         """
         self.infeasible += 1
         if error_type == "DrcViolationError":
@@ -324,13 +321,6 @@ class ApproximateFitness:
         tel = current_telemetry()
         if tel is not None:
             tel.counters.add("budget.charged_s", cost)
-            if record_ledger:
-                tel.ledger.append(
-                    params=params,
-                    outcome="drc" if source == "drc" else "failed",
-                    charge=0.0 if source == "drc" else (charge_s or 0.0),
-                    error_type=error_type,
-                )
         self.history.append(
             EvaluatedPoint(
                 parameters=params,
@@ -396,8 +386,9 @@ class ApproximateFitness:
         params = self.space.decode(encoded)
         # Space-aware DRC pre-flight: reject before the evaluator (whose
         # own gate knows the module but not the declared space) is touched.
-        if not self.gate.is_feasible(params):
-            return self._note_failure(params, "DrcViolationError", record_ledger=True)
+        failure = drc_failure(self.gate, params)
+        if failure is not None:
+            return self._account(encoded, params, failure, record)
         # Persistent-store consult: a prior process already ran this exact
         # configuration — adopt it as a cache-priced answer.  Low-fidelity
         # probe records (written by a gated session) are *not* adopted
@@ -472,8 +463,9 @@ class ApproximateFitness:
             return self._note_point(
                 encoded, replay(params, point, "gate"), record=False
             )
-        if not self.gate.is_feasible(params):
-            return self._note_failure(params, "DrcViolationError", record_ledger=True)
+        failure = drc_failure(self.gate, params)
+        if failure is not None:
+            return self._account(encoded, params, failure, record=False)
         stored = self._store.lookup(params, min_rank=None)
         if stored is not None:
             probe = self._store.adopt(params, stored)
@@ -656,10 +648,9 @@ class ApproximateFitness:
             # elaborate would be fiction).  Pure memoized check — when every
             # point is feasible this consults no RNG and records nothing.
             params = self.space.decode(row)
-            if not self.gate.is_feasible(params):
-                out[i] = self._note_failure(
-                    params, "DrcViolationError", record_ledger=True
-                )
+            failure = drc_failure(self.gate, params)
+            if failure is not None:
+                out[i] = self._account(row, params, failure, record=False)
                 continue
             tel = current_telemetry()
             decision = self.control.decide(np.asarray(row, dtype=float))
@@ -732,18 +723,16 @@ class ApproximateFitness:
         if self.promotion_gate is not None:
             for fid, count in sim.fidelity_runs.items():
                 base[f"runs:{fid}"] = count
+            for name, value in self.promotion_gate.stats().items():
+                if name != "band":
+                    base[f"gate_{name}"] = value
+            base["gate_pending_speculative"] = len(self._speculative)
         else:
             for fid in Fidelity:
                 base[f"runs:{fid}"] = sum(
                     1 for p in self.history
                     if p.source == "tool" and p.fidelity == str(fid)
                 )
-        if self.promotion_gate is not None:
-            for name, value in self.promotion_gate.stats().items():
-                if name == "band":
-                    continue
-                base[f"gate_{name}"] = value
-            base["gate_pending_speculative"] = len(self._speculative)
         if self.use_model:
             base.update(self.control.stats())
         return base

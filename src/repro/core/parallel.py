@@ -65,6 +65,7 @@ from repro.core.pipeline import (
     EvaluatorSpec,
     PointStore,
     RemoteEvaluationError,
+    drc_failure,
     replay,
     run_tool,
 )
@@ -226,19 +227,10 @@ class ParallelPointEvaluator:
         if hit is not None:
             self.memo_hits += 1
             return replay(params, hit, "memo"), "memo"
-        violation = self._preflight().violation(params)
-        if violation is not None:
-            failure = EvaluationFailure(type(violation).__name__, str(violation))
+        failure = drc_failure(self._preflight(), params, origin="pool")
+        if failure is not None:
             self.memo[key] = failure
             self.drc_rejections += 1
-            # Pre-dispatch rejects never reach a tool, so this step owns
-            # their ledger record.
-            tel = current_telemetry()
-            if tel is not None:
-                tel.ledger.append(
-                    params=params, outcome="drc", charge=0.0,
-                    error_type=failure.original_type, origin="pool",
-                )
             return failure, "drc"
         record = self._point_store.lookup(params)
         if record is not None:

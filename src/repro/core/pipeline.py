@@ -11,11 +11,12 @@ here:
 - :class:`PointStore` consults the persistent store, adopts a record as
   a cache-priced answer with its ``origin="store"`` ledger row, and
   appends fresh results (DRC verdicts are never persisted).
+- :func:`drc_failure` answers a DRC pre-flight rejection, tool-free.
 - :func:`run_tool` calls the tool and turns a :class:`ReproError` into
   an :class:`EvaluationFailure` carrying the failed run's charge.
-- :func:`replay` re-answers a known result at zero charge and writes its
-  ledger row; the ``origin`` names who replayed it (``"memo"``,
-  ``"coalesced"``, ``"gate"``).
+- :func:`replay` answers a known result at zero charge and writes its
+  ledger row; the ``origin`` names who answered it (``"memo"``,
+  ``"coalesced"``, ``"gate"``, ``"store"``, or a DRC gate's layer).
 
 The memo → DRC gate → store pre-dispatch step and the memo + store
 commit step are :meth:`ParallelPointEvaluator._pre_dispatch` and
@@ -30,6 +31,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+from repro.analysis.gate import PreflightGate
 from repro.cache import (
     FULL_RANK,
     KIND_FAILURE,
@@ -55,6 +57,7 @@ __all__ = [
     "EvaluatorSpec",
     "PointStore",
     "RemoteEvaluationError",
+    "drc_failure",
     "replay",
     "run_tool",
 ]
@@ -182,6 +185,23 @@ class EvaluatorSpec:
         )
 
 
+def drc_failure(
+    gate: PreflightGate, params: Mapping[str, int], origin: str = "local"
+) -> EvaluationFailure | None:
+    """The gate's rejection of ``params``, or None when it passes.
+
+    A rejected point never reaches a tool: it is answered like a replay,
+    at zero charge with its one ``outcome="drc"`` ledger row, and
+    ``origin`` names the layer that checked it.
+    """
+    violation = gate.violation(params)
+    if violation is None:
+        return None
+    failure = EvaluationFailure(type(violation).__name__, str(violation))
+    replay(params, failure, origin)
+    return failure
+
+
 def run_tool(
     evaluator: PointEvaluator,
     params: Mapping[str, int],
@@ -279,12 +299,7 @@ class PointStore:
                 str(payload.get("original_type", "ReproError")),
                 str(payload.get("message", "")),
             )
-            if tel is not None:
-                tel.ledger.append(
-                    params=params, outcome="failed", charge=0.0,
-                    error_type=failure.original_type, origin="store",
-                )
-            return failure
+            return replay(params, failure, "store")
         point = dataclasses.replace(
             decode_point(record.payload),
             parameters=dict(params),

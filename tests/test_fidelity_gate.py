@@ -22,6 +22,7 @@ from repro.core.session import DseSession
 from repro.designs import get_design
 from repro.estimation import PromotionGate
 from repro.flow.vivado_sim import Fidelity, FlowStep
+from repro.moo.indicators import hypervolume
 
 
 def _front_signature(result):
@@ -138,7 +139,7 @@ class TestPromotionGateUnit:
         assert len(stats["band"]) == 2
 
 
-def _explore(tmp_path=None, gate=None, **kw):
+def _explore(tmp_path=None, gate=None, generations=5, population=10, **kw):
     kwargs = dict(
         design=get_design("corundum-cqm"),
         part="XC7K70T",
@@ -150,10 +151,31 @@ def _explore(tmp_path=None, gate=None, **kw):
     kwargs.update(kw)
     session = DseSession(**kwargs)
     try:
-        result = session.explore(generations=5, population=10, pretrain=False)
+        result = session.explore(
+            generations=generations, population=population, pretrain=False
+        )
     finally:
         session.close()
     return session, result
+
+
+@pytest.fixture(scope="module")
+def full_size_runs():
+    """No-gate, gate-off and gated runs at the size the gate's bounds
+    are stated for: 20 generations of 24, risk 0.1, trickle every 12."""
+    size = dict(generations=20, population=24)
+    gate_args = dict(gate_risk=0.1, gate_trickle_every=12)
+    return (
+        _explore(**size),
+        _explore(gate=False, **size, **gate_args),
+        _explore(gate=True, **size, **gate_args),
+    )
+
+
+def _minimized_front(session, result) -> np.ndarray:
+    names = session.evaluator.metric_names()
+    rows = np.array([[p.metrics[n] for n in names] for p in result.pareto])
+    return session.fitness._metric_signs() * rows
 
 
 class TestGateOffIdentity:
@@ -166,6 +188,11 @@ class TestGateOffIdentity:
         assert plain.simulated_seconds == off.simulated_seconds
         assert plain.evaluations == off.evaluations
         assert plain.tool_runs == off.tool_runs
+
+    def test_gate_off_identity_at_full_size(self, full_size_runs):
+        (_, plain), (_, off), _ = full_size_runs
+        assert _front_signature(plain) == _front_signature(off)
+        assert plain.simulated_seconds == off.simulated_seconds
 
     def test_gate_requires_implementation_step(self):
         with pytest.raises(ValueError, match="IMPLEMENTATION"):
@@ -205,6 +232,22 @@ class TestGatedExploration:
         }
         for p in gated.pareto:
             assert tuple(sorted(p.parameters.items())) in full_bindings
+
+    def test_gate_halves_seconds_within_one_percent_regret(self, full_size_runs):
+        """The Simopt-style fidelity contract: at least 2x fewer simulated
+        tool seconds at no more than 1% hypervolume regret.  Both fronts
+        share one reference point: the union's worst corner plus a 10%
+        margin, so boundary points add volume on either side."""
+        _, (full_session, full), (gated_session, gated) = full_size_runs
+        full_front = _minimized_front(full_session, full)
+        gated_front = _minimized_front(gated_session, gated)
+        union = np.vstack([full_front, gated_front])
+        span = union.max(axis=0) - union.min(axis=0)
+        ref = union.max(axis=0) + 0.1 * span + 1e-9
+        hv_full = hypervolume(full_front, ref)
+        regret = max(0.0, (hv_full - hypervolume(gated_front, ref)) / hv_full)
+        assert regret <= 0.01
+        assert full.simulated_seconds / gated.simulated_seconds >= 2.0
 
     def test_promote_archive_patches_archive_rows(self):
         session, result = _explore(gate=True)

@@ -262,48 +262,65 @@ class TestLintNetlistCli:
         ]) == 0
 
 
-def _evaluator(gen, period_ns: float = 10.0) -> PointEvaluator:
+def _evaluator(gen, period_ns: float = 10.0, seed: int = 11) -> PointEvaluator:
     return PointEvaluator(
         source=gen.source(),
         language=str(gen.language),
         top=gen.top,
         part="XC7K70T",
         target_period_ns=period_ns,
-        seed=11,
+        seed=seed,
     )
+
+
+def _assert_static_bounds_sound(
+    designs, seed: int, points_per_design: int, evaluator_seed: int, **estimate_kw
+) -> None:
+    """Sample each bundled design's space (plus its default binding) and
+    check the static bounds against the routed flow: LUT lower bound at
+    or under the routed count, Fmax upper bound at or over the routed
+    Fmax, on every point the router accepts."""
+    rng = np.random.default_rng(seed)
+    for name, gen in designs:
+        space = ParameterSpace.from_design(gen)
+        evaluator = _evaluator(gen, seed=evaluator_seed)
+        rows = np.column_stack([
+            rng.integers(lo, hi + 1, size=points_per_design)
+            for lo, hi in zip(space.lows(), space.highs())
+        ])
+        points = [space.decode(row) for row in rows]
+        points.append({})  # the default binding
+        compared = 0
+        for params in points:
+            est = static_estimate_point(gen.module(), K7, params, **estimate_kw)
+            try:
+                full = evaluator.evaluate(params)
+            except ReproError:
+                continue  # point infeasible on this part: nothing to bound
+            compared += 1
+            assert est.fmax_ub_mhz >= full.metrics["frequency"], (
+                f"{name}@{params}: Fmax UB below routed Fmax"
+            )
+            assert est.utilization_lb.get(ResourceKind.LUT) <= (
+                full.metrics["LUT"]
+            ), f"{name}@{params}: LUT LB above routed count"
+        assert compared >= 1, f"{name}: no feasible sampled point"
 
 
 class TestStaticEstimateSoundness:
     def test_bounds_hold_across_designs_and_points(self):
         """The acceptance property: static bounds are sound for every
         bundled design across sampled points of its space."""
-        rng = np.random.default_rng(7)
-        for name, gen in all_designs().items():
-            space = ParameterSpace.from_design(gen)
-            evaluator = _evaluator(gen)
-            rows = np.column_stack([
-                rng.integers(lo, hi + 1, size=3)
-                for lo, hi in zip(space.lows(), space.highs())
-            ])
-            points = [space.decode(row) for row in rows]
-            points.append({})  # the default binding
-            compared = 0
-            for params in points:
-                est = static_estimate_point(
-                    gen.module(), K7, params, noise_floor=0.9
-                )
-                try:
-                    full = evaluator.evaluate(params)
-                except ReproError:
-                    continue  # point infeasible on this part: nothing to bound
-                compared += 1
-                assert est.fmax_ub_mhz >= full.metrics["frequency"], (
-                    f"{name}@{params}: Fmax UB below routed Fmax"
-                )
-                assert est.utilization_lb.get(ResourceKind.LUT) <= (
-                    full.metrics["LUT"]
-                ), f"{name}@{params}: LUT LB above routed count"
-            assert compared >= 1, f"{name}: no feasible sampled point"
+        _assert_static_bounds_sound(
+            all_designs().items(), 7, 3, evaluator_seed=11, noise_floor=0.9
+        )
+
+    def test_bounds_hold_at_default_noise_floor(self):
+        """Four more points per design, seed 2021, and the estimator's
+        default noise floor: soundness is exact, not a rate."""
+        _assert_static_bounds_sound(
+            sorted(all_designs().items()), 2021, 4, evaluator_seed=2021
+        )
 
     def test_delay_bias_must_be_positive(self):
         gen = all_designs()["cv32e40p-fifo"]

@@ -210,26 +210,23 @@ class TestConcurrentWriters:
 class TestWarmStoreEquivalence:
     """CI-grade contract: the store changes pricing, never answers."""
 
-    def test_warm_session_replays_everything_identically(self, tmp_path):
+    @staticmethod
+    def _no_store_cold_warm(store_dir, seed, generations, population):
+        """The same exploration without a store, then cold and warm over
+        one fresh store; asserts all three fronts are identical."""
         from repro.core.session import DseSession
 
         def explore(store):
-            s = DseSession(
+            with DseSession(
                 design=get_design("cv32e40p-fifo"),
                 part="XC7K70T",
                 use_model=False,
-                seed=5,
+                seed=seed,
                 result_store=store,
-            )
-            try:
-                return s.explore(generations=2, population=6), s
-            finally:
-                s.close()
+            ) as s:
+                return s.explore(generations=generations, population=population)
 
-        store_dir = tmp_path / "store"
-        reference, _ = explore(None)
-        cold, _ = explore(store_dir)
-        warm, warm_session = explore(store_dir)
+        runs = explore(None), explore(store_dir), explore(store_dir)
 
         def front(result):
             return sorted(
@@ -238,9 +235,19 @@ class TestWarmStoreEquivalence:
                 for p in result.pareto
             )
 
+        reference, cold, warm = runs
         assert front(cold) == front(reference)
         assert front(warm) == front(reference)
         assert cold.evaluations == warm.evaluations == reference.evaluations
+        return runs
+
+    def test_warm_session_replays_everything_identically(self, tmp_path):
+        _, cold, warm = self._no_store_cold_warm(tmp_path / "store", 5, 2, 6)
         # The warm run never touched the tool.
         assert cold.tool_runs > 0
+        assert warm.tool_runs == 0
+
+    def test_warm_store_cuts_tool_runs_at_least_fivefold(self, tmp_path):
+        _, cold, warm = self._no_store_cold_warm(tmp_path / "store", 2021, 4, 10)
+        assert cold.tool_runs / max(warm.tool_runs, 1) >= 5.0
         assert warm.tool_runs == 0

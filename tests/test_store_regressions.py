@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -323,3 +324,45 @@ class TestRefreshRacingMaintenance:
             r.key: r for r in fresh.records()
         }
         assert all(r.rank == FULL_RANK for r in reader.records())
+
+
+class TestStatsRacingMaintenance:
+    """``stats()`` listed the segments, then ``stat()``-ed them without
+    the writer lock; another handle's ``clear()`` in between raised
+    ``FileNotFoundError`` out of ``cache stats``."""
+
+    @pytest.mark.parametrize("opener", [_flat, _sharded], ids=["flat", "sharded"])
+    def test_stats_racing_a_clear_returns_the_pre_clear_counts(
+        self, tmp_path, opener
+    ):
+        root = tmp_path / "store"
+        _fill(root, opener)
+        reader = opener(root)
+        before = reader.stats()
+        assert before.unique_keys == 12 and before.segments > 1
+        # The last shard's stats() runs last, so every shard is read
+        # before the clear can start.
+        shard = reader._stores[-1] if isinstance(reader, ShardedResultStore) else reader
+        clearer = threading.Thread(target=opener(root).clear)
+        glob = shard._segment_paths
+        globs = []
+
+        def racing():
+            # stats() globs twice: once in its refresh(), once to size
+            # the segments.  After the second, give the clear half a
+            # second: enough to finish unless the writer lock holds it.
+            paths = glob()
+            globs.append(paths)
+            if len(globs) == 2:
+                clearer.start()
+                clearer.join(timeout=0.5)
+            return paths
+
+        shard._segment_paths = racing
+        during = reader.stats()
+        clearer.join(timeout=10.0)
+        assert not clearer.is_alive()
+
+        assert during == before
+        after = reader.stats()
+        assert after.unique_keys == after.segments == after.size_bytes == 0
