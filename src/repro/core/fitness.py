@@ -28,6 +28,7 @@ from repro.core.pipeline import (
     EvaluationFailure,
     EvaluatorSpec,
     PointStore,
+    consult,
     drc_failure,
     replay,
     run_tool,
@@ -56,7 +57,21 @@ _CACHE_HIT_COST_S = 2.0
 
 
 class ApproximateFitness:
-    """Routes design-point evaluations through the control model."""
+    """Routes design-point evaluations through the control model.
+
+    The model's three cases are :meth:`evaluate_encoded`'s branches:
+    CACHED and ESTIMATE answer without the tool, and EVALUATE (like
+    :meth:`pretrain` and every model-off row) takes the one tool path,
+    :meth:`_dispatch`.  That method alone chooses between a batch
+    evaluator (a local worker pool or a bound serve fleet) and this
+    fitness's own evaluator, where a row either resolves through
+    :func:`~repro.core.pipeline.consult` and the tool, or — with the
+    fidelity gate on — is probed, and promoted to a full run or skipped.
+    :meth:`_promote` is the one full-route promotion, shared with
+    :meth:`promote_archive`, and :meth:`_charge` the one place a cost
+    is booked.  ``tests/test_pipeline_contracts.py`` pins every mode's
+    ledger, history, stats and front.
+    """
 
     def __init__(
         self,
@@ -185,17 +200,9 @@ class ApproximateFitness:
         to unbind.  Incompatible with the fidelity gate and incremental
         flows, whose evaluations are order-dependent by construction.
         """
-        if evaluator is not None:
-            if self.fidelity_gate_enabled:
-                raise ValueError(
-                    "external batch evaluator is incompatible with the "
-                    "fidelity gate (gated sessions are sequential)"
-                )
-            if self.spec.incremental:
-                raise ValueError(
-                    "external batch evaluator is incompatible with "
-                    "incremental flows (results are order-dependent)"
-                )
+        reason = self._serial_only()
+        if evaluator is not None and reason is not None:
+            raise ValueError(f"external batch evaluator is incompatible with {reason}")
         if self._parallel is not None and not self._external_parallel:
             self._parallel.close()
         self._parallel = evaluator
@@ -213,18 +220,20 @@ class ApproximateFitness:
             self._parallel = None
             self._external_parallel = False
 
-    def _use_parallel(self) -> bool:
-        # Incremental flows warm-start from the shared session's
-        # checkpoints; worker-local sessions would diverge from the serial
-        # reference, so the batch path only engages for pure evaluators.
-        # The fidelity gate is sequential by construction — each decision
-        # conditions on the calibration set the previous points built — so
-        # it also pins evaluation to the serial path.
+    def _serial_only(self) -> str | None:
+        """Why this session's points must resolve in order here, or None.
+
+        The fidelity gate is sequential by construction — each decision
+        conditions on the calibration set the previous points built.
+        Incremental flows warm-start from the shared session's
+        checkpoints, so worker-local sessions would diverge from the
+        serial reference.
+        """
         if self.fidelity_gate_enabled:
-            return False
+            return "the fidelity gate (gated sessions are sequential)"
         if self.spec.incremental:
-            return False
-        return self._external_parallel or self.workers > 1
+            return "incremental flows (results are order-dependent)"
+        return None
 
     def _metric_signs(self) -> np.ndarray:
         """+1 for minimized metrics, -1 for maximized (minimized = signs*raw)."""
@@ -264,11 +273,7 @@ class ApproximateFitness:
         sample = IntegerRandomSampling(unique=True)(
             problem_stub, min(self.pretrain_size, self.space.cardinality()), rng
         )
-        if self._use_parallel():
-            self._run_tool_batch(sample.X, record=True)
-        else:
-            for row in sample.X:
-                self._run_tool(row, record=True)
+        self._dispatch(sample.X, record=True)
         return int(sample.X.shape[0])
 
     # ------------------------------------------------------------------
@@ -292,13 +297,20 @@ class ApproximateFitness:
             out[j] = 0.0 if spec.sense == Sense.MAXIMIZE else 1e12
         return out
 
+    def _charge(self, cost: float) -> None:
+        """Book ``cost`` simulated seconds against the soft deadline."""
+        self.simulated_seconds += cost
+        tel = current_telemetry()
+        if tel is not None:
+            tel.counters.add("budget.charged_s", cost)
+
     def _note_failure(
         self,
         params: dict[str, int],
         error_type: str,
         charge_s: float | None = None,
     ) -> np.ndarray:
-        """Bookkeeping for an infeasible run (shared serial/batch path).
+        """Bookkeeping for an infeasible run.
 
         Points the DRC pre-flight gate rejected never touched the tool, so
         they enter history as zero-cost ``source="drc"`` records; points
@@ -317,10 +329,7 @@ class ApproximateFitness:
         else:
             source = f"infeasible:{error_type}"
             cost = max(_CACHE_HIT_COST_S, charge_s or 0.0)
-            self.simulated_seconds += cost
-        tel = current_telemetry()
-        if tel is not None:
-            tel.counters.add("budget.charged_s", cost)
+        self._charge(cost)
         self.history.append(
             EvaluatedPoint(
                 parameters=params,
@@ -339,13 +348,9 @@ class ApproximateFitness:
     def _note_point(
         self, encoded: np.ndarray, point: EvaluatedPoint, record: bool
     ) -> np.ndarray:
-        """Bookkeeping for a completed run (shared serial/batch path)."""
+        """Bookkeeping for a completed run."""
         self.history.append(point)
-        cost = max(point.simulated_seconds, _CACHE_HIT_COST_S)
-        self.simulated_seconds += cost
-        tel = current_telemetry()
-        if tel is not None:
-            tel.counters.add("budget.charged_s", cost)
+        self._charge(max(point.simulated_seconds, _CACHE_HIT_COST_S))
         y = self._metric_vector(point)
         if record and self.use_model:
             self.control.record(np.asarray(encoded, dtype=float), y)
@@ -369,37 +374,56 @@ class ApproximateFitness:
             )
         return self._note_point(encoded, result, record)
 
-    def _run_tool(self, encoded: np.ndarray, record: bool) -> np.ndarray:
-        # Dataset inserts (``record=True``: pretrain, control-model
-        # evaluations) always run the full flow — the NWM must train on
-        # authoritative numbers — so the gate engages only for plain
-        # fitness evaluations.
-        if self.promotion_gate is not None and not record:
-            return self._run_tool_gated(encoded)
-        # A server-bound session must surface *every* tool dispatch to the
-        # shared fleet — including the model path's single-point runs —
-        # so cross-tenant dedup and fair scheduling see them.  The batch
-        # layer owns the same DRC/store/accounting steps as the serial
-        # body below.
-        if self._external_parallel and self._use_parallel():
-            return self._run_tool_batch(np.atleast_2d(encoded), record)[0]
-        params = self.space.decode(encoded)
-        # Space-aware DRC pre-flight: reject before the evaluator (whose
-        # own gate knows the module but not the declared space) is touched.
-        failure = drc_failure(self.gate, params)
-        if failure is not None:
-            return self._account(encoded, params, failure, record)
-        # Persistent-store consult: a prior process already ran this exact
-        # configuration — adopt it as a cache-priced answer.  Low-fidelity
-        # probe records (written by a gated session) are *not* adopted
-        # here: the full flow must answer, and its record supersedes them.
-        stored = self._store.lookup(params)
-        if stored is not None:
-            result = self._store.adopt(params, stored)
-        else:
-            result = run_tool(self.evaluator, params)
-            self._store.put(params, result)
-        return self._account(encoded, params, result, record)
+    def _dispatch(
+        self, X: np.ndarray, record: bool, fan_out: bool = True
+    ) -> np.ndarray:
+        """The one tool path: encoded rows → raw metric matrix.
+
+        A bound fleet facade takes every dispatch, so cross-tenant dedup
+        and fair scheduling see all of this session's work; a local pool
+        takes it only when ``fan_out`` (``workers > 1``).  The batch
+        layer writes each answer's ledger row and ships a failed run's
+        cost, and its answers are accounted here in row order, so
+        history, cost and dataset insertion order match the serial loop.
+        Otherwise each row resolves on this fitness's own evaluator:
+        through the fidelity gate for plain fitness evaluations, while
+        dataset inserts (``record=True``) always run the full flow — the
+        NWM must train on authoritative numbers.
+        """
+        rows = np.atleast_2d(X)
+        params = [self.space.decode(row) for row in rows]
+        batch = None
+        if self._serial_only() is None and (
+            self._external_parallel or (fan_out and self.workers > 1)
+        ):
+            batch = self._parallel_evaluator().evaluate_many(params, on_error="return")
+        gated = self.promotion_gate is not None and not record
+        out = np.empty((len(rows), len(self.evaluator.metric_names())))
+        for i, row in enumerate(rows):
+            if gated:
+                out[i] = self._run_gated(row, params[i])
+                continue
+            answer = batch[i] if batch is not None else self._resolve(params[i])
+            out[i] = self._account(row, params[i], answer, record)
+        return out
+
+    def _resolve(self, params: dict[str, int]) -> Answer:
+        """One point on this fitness's own evaluator.
+
+        The space-aware DRC gate rejects before the evaluator (whose own
+        gate knows the module but not the declared space) is touched;
+        then a prior process's full-route run is adopted cache-priced.
+        Low-fidelity probe records (written by a gated session) are not
+        adopted: the full flow must answer, and its record supersedes
+        them.  The tool runs only when neither answers, and its answer
+        is stored.
+        """
+        found = consult(self.gate, self._store, params)
+        if found is not None:
+            return found[0]
+        result = run_tool(self.evaluator, params)
+        self._store.put(params, result)
+        return result
 
     # ------------------------------------------------------------------
     # Speculative fidelity gate
@@ -441,7 +465,7 @@ class ApproximateFitness:
             self._prior_cache[frozen] = cached
         return cached
 
-    def _run_tool_gated(self, encoded: np.ndarray) -> np.ndarray:
+    def _run_gated(self, row: np.ndarray, params: dict[str, int]) -> np.ndarray:
         """One fitness evaluation through the promotion gate.
 
         Probe at the gate fidelity, predict the full-route outcome, and
@@ -452,7 +476,6 @@ class ApproximateFitness:
         """
         gate = self.promotion_gate
         assert gate is not None
-        params = self.space.decode(encoded)
         frozen = freeze_params(params)
         memo = self._gate_memo.get(frozen)
         if memo is not None:
@@ -460,80 +483,83 @@ class ApproximateFitness:
             # replay it cache-priced, like the tool's own run cache would.
             metrics = dict(zip(self.evaluator.metric_names(), map(float, memo)))
             point = EvaluatedPoint(parameters=dict(params), metrics=metrics)
-            return self._note_point(
-                encoded, replay(params, point, "gate"), record=False
-            )
-        failure = drc_failure(self.gate, params)
-        if failure is not None:
-            return self._account(encoded, params, failure, record=False)
-        stored = self._store.lookup(params, min_rank=None)
-        if stored is not None:
-            probe = self._store.adopt(params, stored)
-            probe_cost = 0.0
-        else:
+            return self._note_point(row, replay(params, point, "gate"), record=False)
+        # Any stored rank answers here: a probe record is the (free)
+        # low-fidelity signal.
+        found = consult(self.gate, self._store, params, min_rank=None)
+        if found is None:
+            stored = None
             probe = run_tool(self.evaluator, params, fidelity=self.gate_fidelity)
-            probe_cost = probe.simulated_seconds
             if isinstance(probe, EvaluationFailure):
                 self._store.put(
                     params, probe, rank=fidelity_rank(str(self.gate_fidelity))
                 )
+        else:
+            probe, stored = found
+            if stored is None:  # a DRC rejection
+                return self._account(row, params, probe, record=False)
         # A stored full-route answer is final.  A failed probe — fresh, or
         # stored by a previous session — makes the point infeasible:
-        # fidelity verdicts for this binding are probe-level only.  A
-        # stored probe point is reused as the (free) low-fidelity signal.
+        # fidelity verdicts for this binding are probe-level only.
         if isinstance(probe, EvaluationFailure) or (
             stored is not None and stored.rank >= FULL_RANK
         ):
-            y = self._account(encoded, params, probe, record=False)
-            self._gate_memo[frozen] = y.copy()
-            return y
-        signs = gate.signs
-        y_low = self._metric_vector(probe)
-        x = np.asarray(encoded, dtype=float)
-        low_min = signs * y_low
-        priors = self._static_priors(params)
-        decision = gate.assess(x, low_min, priors)
-        if decision.promote:
-            full = run_tool(self.evaluator, params)
-            self._store.put(params, full)
-            if isinstance(full, EvaluationFailure):
-                # The probe passed but the full flow failed (fidelities
-                # draw independent QoR noise, so borderline capacity can
-                # differ) — the point is infeasible and charges both runs.
-                y = self._note_failure(
-                    params,
-                    full.original_type,
-                    charge_s=probe_cost + full.simulated_seconds,
-                )
-                self._gate_memo[frozen] = y.copy()
-                return y
-            y_full = self._metric_vector(full)
-            gate.observe(x, low_min, signs * y_full, priors)
-            self._gate_memo[frozen] = y_full.copy()
-            # One history entry per design point; its cost is the probe
-            # plus the full run (the full run reuses the probe's cached
-            # synthesis stage, so the sum equals the ungated full cost).
-            combined = dataclasses.replace(
-                full, simulated_seconds=probe_cost + full.simulated_seconds
+            y = self._account(row, params, probe, record=False)
+        else:
+            x = np.asarray(row, dtype=float)
+            low_min = gate.signs * self._metric_vector(probe)
+            decision = gate.assess(x, low_min, self._static_priors(params))
+            if decision.promote:
+                return self._promote(params, x, low_min, probe.simulated_seconds)[0]
+            # Skip: answer with the gate's predicted full-route metrics and
+            # remember the binding for promotion-on-demand.
+            pred_min = decision.predicted_full_min
+            assert pred_min is not None  # skips only happen with a fitted model
+            y_pred = gate.signs * np.asarray(pred_min, dtype=float)
+            spec_point = EvaluatedPoint(
+                parameters=dict(params),
+                metrics=dict(zip(self.evaluator.metric_names(), map(float, y_pred))),
+                source="speculative",
+                simulated_seconds=probe.simulated_seconds,
+                fidelity=str(probe.fidelity),
             )
-            return self._note_point(encoded, combined, record=False)
-        # Skip: answer with the gate's predicted full-route metrics and
-        # remember the binding for promotion-on-demand.
-        pred_min = decision.predicted_full_min
-        assert pred_min is not None  # skips only happen with a fitted model
-        y_pred = signs * np.asarray(pred_min, dtype=float)
-        metrics = dict(zip(self.evaluator.metric_names(), map(float, y_pred)))
-        spec_point = EvaluatedPoint(
-            parameters=dict(params),
-            metrics=metrics,
-            source="speculative",
-            simulated_seconds=probe_cost,
-            fidelity=str(probe.fidelity),
+            self._store.put(params, probe, rank=fidelity_rank(probe.fidelity))
+            self._speculative[frozen] = (x.copy(), low_min.copy())
+            y = self._note_point(row, spec_point, record=False)
+        self._gate_memo[frozen] = y.copy()
+        return y
+
+    def _promote(
+        self,
+        params: dict[str, int],
+        x: np.ndarray,
+        low_min: np.ndarray,
+        probe_cost: float = 0.0,
+    ) -> tuple[np.ndarray, bool]:
+        """Run the full flow for a gated binding: ``(raw metrics, ok)``.
+
+        The answer is stored, teaches the gate (when the run succeeds),
+        is accounted and memoized.  Its charge includes ``probe_cost``:
+        the full run reuses the probe's cached synthesis stage, so the
+        sum equals the ungated full cost.  A full run can fail after its
+        probe passed (fidelities draw independent QoR noise, so
+        borderline capacity can differ); the point is then infeasible,
+        charges both runs, and answers with the penalty vector.
+        """
+        gate = self.promotion_gate
+        assert gate is not None
+        full = run_tool(self.evaluator, params)
+        self._store.put(params, full)
+        ok = not isinstance(full, EvaluationFailure)
+        if ok:
+            y_full = self._metric_vector(full)
+            gate.observe(x, low_min, gate.signs * y_full, self._static_priors(params))
+        full = dataclasses.replace(
+            full, simulated_seconds=probe_cost + full.simulated_seconds
         )
-        self._store.put(params, probe, rank=fidelity_rank(probe.fidelity))
-        self._speculative[frozen] = (x.copy(), low_min.copy())
-        self._gate_memo[frozen] = y_pred.copy()
-        return self._note_point(encoded, spec_point, record=False)
+        y = self._account(x, params, full, record=False)
+        self._gate_memo[freeze_params(params)] = y.copy()
+        return y, ok
 
     def promote_archive(self, archive) -> int:
         """Run the full flow for every speculative point still in ``archive``.
@@ -578,23 +604,10 @@ class ApproximateFitness:
                 x, low_min = spec
                 if tel is not None:
                     tel.counters.inc("decision.fidelity_promote")
-                full = run_tool(self.evaluator, params)
-                self._store.put(params, full)
                 del self._speculative[frozen]
-                if isinstance(full, EvaluationFailure):
-                    self._note_failure(
-                        params, full.original_type, charge_s=full.simulated_seconds
-                    )
-                    penalty = self._penalty_vector()
-                    fixes[frozen] = signs * penalty
-                    self._gate_memo[frozen] = penalty.copy()
-                    continue
-                y_full = self._metric_vector(full)
-                gate.observe(x, low_min, signs * y_full, self._static_priors(params))
-                self._note_point(rows[i], full, record=False)
-                fixes[frozen] = signs * y_full
-                self._gate_memo[frozen] = y_full.copy()
-                promoted += 1
+                y, ok = self._promote(params, x, low_min)
+                fixes[frozen] = signs * y
+                promoted += ok
             if not fixes:
                 return promoted
             for i in range(rows.shape[0]):
@@ -603,46 +616,22 @@ class ApproximateFitness:
                 if fix is not None:
                     archive.F[i] = fix
 
-    # ------------------------------------------------------------------
-    # Batch fan-out
-
-    def _run_tool_batch(self, X: np.ndarray, record: bool) -> np.ndarray:
-        """Fan encoded rows over the persistent pool; replay in order.
-
-        The fan-out evaluates unique unseen points concurrently; results
-        (and infeasibility penalties) are then accounted in the original
-        row order, so history, cost accounting, and dataset insertion
-        order are identical to the serial loop.  The batch layer (worker,
-        store, or memo) already wrote each ledger record and ships a
-        failed run's cost.
-        """
-        rows = [np.asarray(row) for row in np.atleast_2d(X)]
-        params_list = [self.space.decode(row) for row in rows]
-        outs = self._parallel_evaluator().evaluate_many(
-            params_list, on_error="return"
-        )
-        result = np.empty((len(rows), len(self.evaluator.metric_names())))
-        for i, (row, params, res) in enumerate(zip(rows, params_list, outs)):
-            result[i] = self._account(row, params, res, record)
-        return result
-
     def evaluate_encoded(self, X: np.ndarray) -> np.ndarray:
         """Evaluate encoded rows → raw metric matrix (NSGA-II's fitness).
 
         Without the approximation model every row is a real tool run, so
-        the whole batch fans out over the persistent worker pool when
+        the whole batch goes to the one tool path (:meth:`_dispatch`),
+        which fans it out over the persistent worker pool when
         ``workers > 1``.  With the model active, rows stay serial: each
         decision (cache / estimate / evaluate) depends on the dataset
-        state the previous rows just updated.
+        state the previous rows just updated, and an EVALUATE point runs
+        on this fitness's own evaluator (or a bound fleet).
         """
         X = np.atleast_2d(np.asarray(X, dtype=np.int64))
-        if not self.use_model and self._use_parallel():
-            return self._run_tool_batch(X, record=False)
+        if not self.use_model:
+            return self._dispatch(X, record=False)
         out = np.empty((X.shape[0], len(self.evaluator.metric_names())))
         for i, row in enumerate(X):
-            if not self.use_model:
-                out[i] = self._run_tool(row, record=False)
-                continue
             # DRC pre-flight: an infeasible point must not reach the control
             # model (a cached/estimated answer for a design that cannot
             # elaborate would be fiction).  Pure memoized check — when every
@@ -657,9 +646,8 @@ class ApproximateFitness:
             self.control.note(decision)
             if decision == Decision.CACHED:
                 out[i] = self.control.cached(np.asarray(row, dtype=float))
-                self.simulated_seconds += _CACHE_HIT_COST_S
+                self._charge(_CACHE_HIT_COST_S)
                 if tel is not None:
-                    tel.counters.add("budget.charged_s", _CACHE_HIT_COST_S)
                     tel.ledger.append(
                         params=params, outcome="cache",
                         metrics=dict(
@@ -669,12 +657,11 @@ class ApproximateFitness:
                     )
             elif decision == Decision.ESTIMATE:
                 out[i] = self.control.estimate(np.asarray(row, dtype=float))
-                self.simulated_seconds += _ESTIMATE_COST_S
+                self._charge(_ESTIMATE_COST_S)
                 metrics = dict(
                     zip(self.evaluator.metric_names(), map(float, out[i]))
                 )
                 if tel is not None:
-                    tel.counters.add("budget.charged_s", _ESTIMATE_COST_S)
                     tel.ledger.append(
                         params=params, outcome="estimate",
                         metrics=metrics, charge=0.0,
@@ -689,7 +676,7 @@ class ApproximateFitness:
                     )
                 )
             else:
-                out[i] = self._run_tool(row, record=True)
+                out[i] = self._dispatch(row, record=True, fan_out=False)[0]
         return out
 
     def tool_runs(self) -> int:

@@ -65,9 +65,10 @@ from repro.core.pipeline import (
     EvaluatorSpec,
     PointStore,
     RemoteEvaluationError,
-    drc_failure,
+    consult,
     replay,
     run_tool,
+    settle,
 )
 from repro.observe import current_telemetry, enable_telemetry
 
@@ -215,7 +216,7 @@ class ParallelPointEvaluator:
     def _pre_dispatch(
         self, key: tuple, params: dict[str, int]
     ) -> tuple[Answer, str] | None:
-        """Memo → DRC gate → store: ``(answer, origin)``, or None to dispatch.
+        """Memo, then :func:`consult`: ``(answer, origin)``, or None to dispatch.
 
         ``origin`` says who answered: ``"memo"`` (a zero-charge replay),
         ``"drc"`` (a pre-flight rejection; the message is byte-identical
@@ -227,18 +228,17 @@ class ParallelPointEvaluator:
         if hit is not None:
             self.memo_hits += 1
             return replay(params, hit, "memo"), "memo"
-        failure = drc_failure(self._preflight(), params, origin="pool")
-        if failure is not None:
-            self.memo[key] = failure
+        found = consult(self._preflight(), self._point_store, params, origin="pool")
+        if found is None:
+            self.dispatched += 1
+            return None
+        answer, record = found
+        self.memo[key] = answer
+        if record is None:
             self.drc_rejections += 1
-            return failure, "drc"
-        record = self._point_store.lookup(params)
-        if record is not None:
-            self.store_hits += 1
-            answer = self.memo[key] = self._point_store.adopt(params, record)
-            return answer, "store"
-        self.dispatched += 1
-        return None
+            return answer, "drc"
+        self.store_hits += 1
+        return answer, "store"
 
     def _commit(self, key: tuple, params: dict[str, int], result: Answer) -> None:
         """Memoize a tool answer and append it to the persistent store."""
@@ -267,8 +267,7 @@ class ParallelPointEvaluator:
         point's slot instead, so callers can apply their own penalty
         policy without losing the rest of the batch.
         """
-        if on_error not in ("raise", "return"):
-            raise ValueError(f"on_error must be 'raise' or 'return', got {on_error!r}")
+        finish = settle(on_error)
         pts = [{k: int(v) for k, v in p.items()} for p in points]
         keys = [freeze_params(p) for p in pts]
         fresh: dict[tuple, dict[str, int]] = {}
@@ -309,16 +308,15 @@ class ParallelPointEvaluator:
                     tel.merge_delta(delta, origin="worker")
                 self._commit(key, params, result)
 
-        results: list[Answer] = []
-        for i, key in enumerate(keys):
-            result = self.memo[key]
-            if first_occurrence.get(key) != i:
-                self.memo_hits += 1
-                result = replay(pts[i], result, "memo")
-            if isinstance(result, EvaluationFailure) and on_error == "raise":
-                raise result.to_error()
-            results.append(result)
-        return results
+        def in_request_order():
+            for i, key in enumerate(keys):
+                result = self.memo[key]
+                if first_occurrence.get(key) != i:
+                    self.memo_hits += 1
+                    result = replay(pts[i], result, "memo")
+                yield result
+
+        return finish(in_request_order())
 
     # -- introspection --------------------------------------------------
 

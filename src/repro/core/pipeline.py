@@ -12,16 +12,22 @@ here:
   a cache-priced answer with its ``origin="store"`` ledger row, and
   appends fresh results (DRC verdicts are never persisted).
 - :func:`drc_failure` answers a DRC pre-flight rejection, tool-free.
+- :func:`consult` is the DRC verdict, then the store lookup/adopt: an
+  answer without the tool, or None to run it.
 - :func:`run_tool` calls the tool and turns a :class:`ReproError` into
   an :class:`EvaluationFailure` carrying the failed run's charge.
 - :func:`replay` answers a known result at zero charge and writes its
   ledger row; the ``origin`` names who answered it (``"memo"``,
   ``"coalesced"``, ``"gate"``, ``"store"``, or a DRC gate's layer).
+- :func:`settle` applies a batch caller's ``on_error`` policy.
 
-The memo → DRC gate → store pre-dispatch step and the memo + store
-commit step are :meth:`ParallelPointEvaluator._pre_dispatch` and
-:meth:`ParallelPointEvaluator._commit`.  This module imports no process
-pool, so the serial path pays nothing for it.
+The callers only order these steps: the fitness's own evaluator
+(``ApproximateFitness._dispatch``), the pool's memo → consult
+pre-dispatch and memo + store commit
+(:meth:`ParallelPointEvaluator._pre_dispatch` and
+:meth:`ParallelPointEvaluator._commit`, which a serve fleet member
+inherits).  This module imports no process pool, so the serial path
+pays nothing for it.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.analysis.gate import PreflightGate
 from repro.cache import (
@@ -57,9 +63,11 @@ __all__ = [
     "EvaluatorSpec",
     "PointStore",
     "RemoteEvaluationError",
+    "consult",
     "drc_failure",
     "replay",
     "run_tool",
+    "settle",
 ]
 
 
@@ -200,6 +208,50 @@ def drc_failure(
     failure = EvaluationFailure(type(violation).__name__, str(violation))
     replay(params, failure, origin)
     return failure
+
+
+def consult(
+    gate: PreflightGate,
+    store: "PointStore",
+    params: Mapping[str, int],
+    origin: str = "local",
+    min_rank: int | None = FULL_RANK,
+) -> tuple[Answer, StoredResult | None] | None:
+    """DRC verdict, then store lookup/adopt: an answer without the tool.
+
+    Returns ``(answer, record)`` — ``record`` is the adopted store
+    record, None for a DRC rejection — or None when the tool must run.
+    ``origin`` names the layer on a rejection's ledger row; ``min_rank``
+    is the lowest store rank that answers (see :meth:`PointStore.lookup`).
+    """
+    failure = drc_failure(gate, params, origin)
+    if failure is not None:
+        return failure, None
+    record = store.lookup(params, min_rank)
+    if record is None:
+        return None
+    return store.adopt(params, record), record
+
+
+def settle(on_error: str) -> Callable[[Iterable[Answer]], list[Answer]]:
+    """A batch caller's ``on_error`` policy, checked before any work.
+
+    ``"raise"`` re-raises the first failure (as a
+    :class:`RemoteEvaluationError`) while the answers are consumed in
+    order; ``"return"`` keeps every failure in its slot.
+    """
+    if on_error not in ("raise", "return"):
+        raise ValueError(f"on_error must be 'raise' or 'return', got {on_error!r}")
+
+    def collect(answers: Iterable[Answer]) -> list[Answer]:
+        out: list[Answer] = []
+        for answer in answers:
+            if on_error == "raise" and isinstance(answer, EvaluationFailure):
+                raise answer.to_error()
+            out.append(answer)
+        return out
+
+    return collect
 
 
 def run_tool(

@@ -133,9 +133,9 @@ class DseSession:
         )
         from repro.estimation import RefitPolicy
 
-        self.fitness = ApproximateFitness(
-            evaluator=self.evaluator,
-            space=space,
+        # Every fitness setting, kept once: apply_static_pruning rebuilds
+        # the fitness from them.
+        self._fitness_kwargs = dict(
             use_model=use_model,
             pretrain_size=pretrain_size,
             seed=seed,
@@ -152,6 +152,9 @@ class DseSession:
             gate_trickle_every=gate_trickle_every,
             gate_static_priors=gate_static_priors,
             drc_netlist=drc_netlist,
+        )
+        self.fitness = ApproximateFitness(
+            evaluator=self.evaluator, space=space, **self._fitness_kwargs
         )
         self._pretrained = False
         self.last_algorithm_choice = None  # set by explore(algorithm="auto")
@@ -183,24 +186,15 @@ class DseSession:
             self.space = report.space
             old = self.fitness
             old.close()
+            # The current worker count, and the store handle already open.
             self.fitness = ApproximateFitness(
                 evaluator=self.evaluator,
                 space=report.space,
-                use_model=old.use_model,
-                pretrain_size=old.pretrain_size,
-                min_points_to_estimate=old.min_points_to_estimate,
-                seed=self.seed,
-                workers=old.workers,
-                design_name=old.design_name,
-                refit_policy=old.refit_policy,
-                result_store=old.result_store,
-                fidelity_gate=old.fidelity_gate_enabled,
-                gate_risk=old.gate_risk,
-                gate_fidelity=old.gate_fidelity,
-                gate_min_calibration=old.gate_min_calibration,
-                gate_trickle_every=old.gate_trickle_every,
-                gate_static_priors=old.gate_static_priors,
-                drc_netlist=old.drc_netlist,
+                **dict(
+                    self._fitness_kwargs,
+                    workers=old.workers,
+                    result_store=old.result_store,
+                ),
             )
             self._pretrained = False
         return report

@@ -40,9 +40,8 @@ from repro.core.parallel import (
     EvaluationFailure,
     EvaluatorSpec,
     ParallelPointEvaluator,
-    RemoteEvaluationError,
 )
-from repro.core.pipeline import replay, run_tool
+from repro.core.pipeline import replay, run_tool, settle
 from repro.observe import current_telemetry
 from repro.serve.scheduler import FairScheduler
 
@@ -189,17 +188,8 @@ class ScheduledBatch:
         self._futures = list(futures)
 
     def results(self, on_error: str = "raise") -> list[Any]:
-        if on_error not in ("raise", "return"):
-            raise ValueError(
-                f"on_error must be 'raise' or 'return', got {on_error!r}"
-            )
-        out: list[Any] = []
-        for future in self._futures:
-            result = future.result()
-            if on_error == "raise" and isinstance(result, EvaluationFailure):
-                raise RemoteEvaluationError(result.original_type, result.message)
-            out.append(result)
-        return out
+        finish = settle(on_error)
+        return finish(future.result() for future in self._futures)
 
 
 class SchedulerBoundEvaluator:

@@ -529,6 +529,57 @@ class TestSessionAndCli:
         finally:
             sess.close()
 
+    def test_pruned_session_keeps_every_fitness_setting(self, tmp_path):
+        from repro.estimation import RefitPolicy
+        from repro.flow.vivado_sim import Fidelity
+
+        sess = DseSession(
+            source=NULLABLE_SV,
+            language="systemverilog",
+            top="nullable",
+            space=nullable_space(),
+            use_model=False,
+            pretrain_size=5,
+            seed=3,
+            workers=2,
+            refit_every=3,
+            refit_gamma_drift=0.25,
+            result_store=str(tmp_path / "store"),
+            fidelity_gate=True,
+            gate_risk=0.3,
+            gate_fidelity="placed-estimate",
+            gate_min_calibration=7,
+            gate_trickle_every=5,
+            gate_static_priors=True,
+            drc_netlist=True,
+        )
+        old = sess.fitness
+        try:
+            assert sess.apply_static_pruning().changed
+            new = sess.fitness
+            assert new is not old and new.space is sess.space
+            assert new.result_store is old.result_store  # not reopened
+            settings = {
+                "use_model": False,
+                "pretrain_size": 5,
+                "seed": 3,
+                "workers": 2,
+                "refit_policy": RefitPolicy(every=3, gamma_drift=0.25),
+                "fidelity_gate_enabled": True,
+                "gate_risk": 0.3,
+                "gate_fidelity": Fidelity.PLACED_ESTIMATE,
+                "gate_min_calibration": 7,
+                "gate_trickle_every": 5,
+                "gate_static_priors": True,
+                "drc_netlist": True,
+            }
+            for name, value in settings.items():
+                assert getattr(new, name) == value, name
+            assert new.gate.netlist_stage
+            assert new.promotion_gate.risk == 0.3
+        finally:
+            sess.close()
+
     def test_cli_prune_space_flag(self, capsys, tmp_path):
         src = tmp_path / "nullable.sv"
         src.write_text(NULLABLE_SV, encoding="utf-8")

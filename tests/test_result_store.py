@@ -26,6 +26,9 @@ from repro.cache import (
 )
 from repro.designs import get_design
 
+# The checkout this suite lives in: child processes import its ``src``.
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def _identity(**kw):
     defaults = dict(
@@ -189,7 +192,7 @@ class TestConcurrentWriters:
             subprocess.Popen(
                 [sys.executable, "-c", _WRITER_SNIPPET, root, str(start), "60"],
                 stdout=subprocess.PIPE,
-                cwd="/root/repo",
+                cwd=ROOT,
                 env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
             )
             for start in (0, 40)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,9 @@ from repro.cache import (
     point_key,
     run_identity,
 )
+
+# The checkout this suite lives in: child processes import its ``src``.
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(autouse=True)
@@ -141,7 +145,7 @@ class TestSharding:
         )
         proc = subprocess.run(
             [sys.executable, "-c", snippet, root, *keys],
-            cwd="/root/repo",
+            cwd=ROOT,
             env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
             capture_output=True,
             text=True,

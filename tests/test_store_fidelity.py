@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 from repro.cache import (
     FIDELITY_RANKS,
@@ -22,6 +23,9 @@ from repro.cache import (
     encode_point,
 )
 from repro.core.point import EvaluatedPoint
+
+# The checkout this suite lives in: child processes import its ``src``.
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _point(fidelity: str, lut: float = 100.0) -> EvaluatedPoint:
@@ -161,7 +165,7 @@ class TestConcurrentRankRace:
             subprocess.Popen(
                 [sys.executable, "-c", _RACER_SNIPPET, root, fidelity],
                 stdout=subprocess.PIPE,
-                cwd="/root/repo",
+                cwd=ROOT,
                 env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
             )
             for fidelity in ("synth-estimate", "full-route")

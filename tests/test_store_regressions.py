@@ -21,6 +21,7 @@ from __future__ import annotations
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -37,12 +38,14 @@ def _lock_order_sanitizer():
         yield
 
 _ENV = {"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"}
+# The checkout this suite lives in: child processes import its ``src``.
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _run_child(snippet: str, *args: str) -> str:
     proc = subprocess.run(
         [sys.executable, "-c", snippet, *args],
-        cwd="/root/repo",
+        cwd=ROOT,
         env=_ENV,
         capture_output=True,
         text=True,
