@@ -21,13 +21,12 @@ here:
   ``"coalesced"``, ``"gate"``, ``"store"``, or a DRC gate's layer).
 - :func:`settle` applies a batch caller's ``on_error`` policy.
 
-The callers only order these steps: the fitness's own evaluator
-(``ApproximateFitness._dispatch``), the pool's memo → consult
-pre-dispatch and memo + store commit
-(:meth:`ParallelPointEvaluator._pre_dispatch` and
-:meth:`ParallelPointEvaluator._commit`, which a serve fleet member
-inherits).  This module imports no process pool, so the serial path
-pays nothing for it.
+The callers only order these steps.  ``ApproximateFitness._dispatch``
+is the fitness's one tool path.  The pool's are
+:meth:`ParallelPointEvaluator._pre_dispatch` (memo, then consult) and
+:meth:`ParallelPointEvaluator._commit` (memo and store append), which a
+serve fleet member inherits.  This module imports no process pool, so
+the serial path pays nothing for it.
 """
 
 from __future__ import annotations

@@ -208,8 +208,8 @@ def _netlist_gate(rows, tmp_path):
         _reject_even_depth(mp)
         for workers in (0, 2):
             tel = _explore(
-                rows, "cv32e40p-fifo", dict(generations=2, population=6, pretrain=False),
-                use_model=False, seed=3, drc_netlist=True, workers=workers,
+                rows, "cv32e40p-fifo",
+                dict(generations=2, population=6, pretrain=False), use_model=False, seed=3, drc_netlist=True, workers=workers,
             )
             assert _origins(tel, outcome="drc") > 0
 
@@ -224,14 +224,10 @@ def _served_sessions(rows, model: bool) -> None:
     with FairScheduler(capacity=1) as sched:
         for job in ("A", "B"):  # B replays A's runs from the member memo
             sched.register_job(job, slots=1)
-
-            def bind(session, job=job):
-                spec = EvaluatorSpec.from_evaluator(session.evaluator, design_name="tirex")
-                session.fitness.set_batch_evaluator(fleet.bind(sched, job, spec))
-
             with telemetry_session() as tel:
                 with DseSession(get_design("tirex"), seed=3, **kw) as s:
-                    bind(s)
+                    spec = EvaluatorSpec.from_evaluator(s.evaluator, design_name="tirex")
+                    s.fitness.set_batch_evaluator(fleet.bind(sched, job, spec))
                     result = s.explore(**explore)
             rows.append(
                 (*_ledger_digest(tel), _fitness_digest(s.fitness, result.pareto))
