@@ -6,7 +6,8 @@ RuleConfig` and exposes one entry point per pass:
 - :meth:`check_interface` — point-independent interface rules (E/W codes);
 - :meth:`check_point` — elaboration + boxing rules under one concrete
   parameter binding (P/B codes); the DSE pre-flight gate runs exactly
-  this;
+  this, and the checker keeps one :class:`~repro.analysis.plan.PointPlan`
+  per module so the point-independent part runs once;
 - :meth:`check_sources` — hierarchy rules over a source set (H codes);
 - :meth:`check_design` — the CLI's full sweep: interface + hierarchy +
   point checks at the default binding and at the boundary points of the
@@ -30,8 +31,8 @@ from repro.analysis import (  # noqa: F401
     interface_rules,
     netlist_rules,
 )
-from repro.analysis.elaboration_rules import resolve_point_environment
 from repro.analysis.findings import CheckResult, Finding, Severity
+from repro.analysis.plan import BOX_KEYED_CODES, PointPlan
 from repro.analysis.registry import (
     Rule,
     RuleConfig,
@@ -80,6 +81,8 @@ class DesignRuleChecker:
     def __init__(self, config: RuleConfig | None = None) -> None:
         self.config = config or RuleConfig()
         self._plans: dict[Stage, tuple[tuple[Rule, Severity], ...]] = {}
+        # Keyed by id(): each plan holds its module, so no id is reused.
+        self._point_plans: dict[int, PointPlan] = {}
 
     # ------------------------------------------------------------------
 
@@ -92,6 +95,12 @@ class DesignRuleChecker:
                 for rule_ in rules_for_stage(stage)
                 if self.config.enabled(rule_.code)
             )
+        return plan
+
+    def _point_plan(self, module: Module) -> PointPlan:
+        plan = self._point_plans.get(id(module))
+        if plan is None:
+            plan = self._point_plans[id(module)] = PointPlan(module)
         return plan
 
     def _run_stage(self, stage: Stage, ctx: RuleContext) -> list[Finding]:
@@ -130,17 +139,30 @@ class DesignRuleChecker:
         boxed: bool = True,
         clock_port: str | None = None,
     ) -> CheckResult:
-        """Elaboration + boxing rules under one concrete binding."""
+        """Elaboration + boxing rules under one concrete binding.
+
+        The boxing findings are computed once per key of
+        :attr:`PointPlan.boxing <repro.analysis.plan.PointPlan.boxing>`
+        and reused, in order, for every later point with that key.
+        """
+        plan = self._point_plan(module)
         ctx = RuleContext(
             module=module,
             params=dict(params or {}),
-            env=resolve_point_environment(module, params),
+            env=plan.environment(params),
             space=space,
             boxed=boxed,
             clock_port=clock_port,
+            cache={"plan": plan},
         )
         findings = self._run_stage(Stage.ELABORATION, ctx)
-        findings += self._run_stage(Stage.BOXING, ctx)
+        key = (boxed, clock_port, plan.all_free(params or {}))
+        boxing = plan.boxing.get(key)
+        if boxing is None:
+            boxing = tuple(self._run_stage(Stage.BOXING, ctx))
+            if all(r.code in BOX_KEYED_CODES for r, _ in self._plan(Stage.BOXING)):
+                plan.boxing[key] = boxing
+        findings += boxing
         return self._suppress(findings)
 
     def check_netlist(

@@ -5,7 +5,7 @@ this stage reasons about the whole declared space at once:
 
 - :class:`StaticSpaceAnalysis` abstractly evaluates every port-range
   expression over the interval hull of each DSE dimension — mirroring
-  :func:`repro.analysis.elaboration_rules.resolve_point_environment`
+  :meth:`repro.analysis.plan.PointPlan.environment`
   pass-for-pass — and derives, per dimension, the exact value subsets
   that make the design *definitely* infeasible (null port ranges,
   ``$clog2`` domain errors, division by zero, subtype violations);
@@ -25,12 +25,13 @@ verdict — it only removes elaboration calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.elaboration_rules import _width_refs_of
 from repro.analysis.findings import Finding, Severity
+from repro.analysis.plan import subtype_check, width_refs_of
 from repro.analysis.registry import RuleContext, Stage, Violation, rule
 from repro.hdl.ast import HdlLanguage, Module, Parameter
 from repro.hdl.dataflow import (
@@ -90,13 +91,19 @@ class StaticSpaceAnalysis:
         self._boxes: dict[str, AbstractInt] = {}
         self._masks: Optional[dict[str, dict[int, str]]] = None
         self._luts: Optional[list[np.ndarray]] = None
+        self._values: dict[str, Optional[list[int]]] = {}
 
     # -- environment construction ---------------------------------------
 
     def _dim_values(self, dim) -> Optional[list[int]]:
-        if dim.cardinality() > _MAX_SWEEP:
-            return None
-        return dim.values()
+        """A dimension's decoded values (decoded once), or None when too
+        many to sweep."""
+        key = dim.name.lower()
+        if key not in self._values:
+            self._values[key] = (
+                None if dim.cardinality() > _MAX_SWEEP else dim.values()
+            )
+        return self._values[key]
 
     def _hull_interval(self, dim) -> Interval:
         values = self._dim_values(dim)
@@ -137,7 +144,7 @@ class StaticSpaceAnalysis:
                 )
 
     def _env(self, pinned: Mapping[str, AbstractInt]) -> dict[str, AbstractInt]:
-        """Abstract mirror of ``resolve_point_environment``.
+        """Abstract mirror of ``PointPlan.environment``.
 
         Pass 1 defaults, pass 2 overrides (pinned dims exactly, the other
         dimensions at their box value), pass 3 localparams re-derived —
@@ -206,7 +213,7 @@ class StaticSpaceAnalysis:
             assert hi.interval is not None and lo.interval is not None
             if hi.may_fail or lo.may_fail:
                 undecided = True
-            referenced = vhdl or bool(_width_refs_of(port))
+            referenced = vhdl or bool(width_refs_of(port))
             if not referenced:
                 # P001 skips parameter-free Verilog ranges (ascending
                 # index numbering is legal), so a null range here is fine.
@@ -254,10 +261,12 @@ class StaticSpaceAnalysis:
         self._compute_boxes(self._pass1)
 
         for key, dim in self._dims.items():
+            param = self._params[key]
+            if subtype_check(param) is None:
+                continue  # P005 never fires on an unconstrained parameter
             values = self._dim_values(dim)
             if values is None:
                 continue
-            param = self._params[key]
             for v in values:
                 reason = self._subtype_reason(param, v)
                 if reason is not None:
@@ -352,6 +361,14 @@ class StaticSpaceAnalysis:
 
     # -- queries the gate consumes --------------------------------------
 
+    @cached_property
+    def _can_prove(self) -> bool:
+        """Whether any binding can be proved infeasible at all (with no
+        always-reason and every mask empty, :meth:`reject_findings` can
+        only answer None)."""
+        self.run()
+        return bool(self.always_reasons) or any((self._masks or {}).values())
+
     def reject_findings(
         self, params: Mapping[str, int]
     ) -> Optional[tuple[Finding, ...]]:
@@ -361,9 +378,8 @@ class StaticSpaceAnalysis:
         per-point checker.  A non-None result is a soundness promise:
         the checker would certainly report ERROR findings for this point.
         """
-        if not self.applicable:
+        if not self.applicable or not self._can_prove:
             return None
-        self.run()
         assert self._masks is not None
         norm: dict[str, int] = {}
         for name, value in params.items():

@@ -14,40 +14,16 @@ stage (plus boxing) before a point is priced as a tool run.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterator, Mapping
 
 from repro.analysis.findings import Severity
+from repro.analysis.plan import point_plan
 from repro.analysis.registry import RuleContext, Stage, Violation, rule
 from repro.errors import InvalidSpaceError
 from repro.hdl import expr as E
 from repro.hdl.ast import HdlLanguage, Module, Port
 
-__all__ = ["resolve_point_environment"]
-
-
-def resolve_point_environment(
-    module: Module, params: Mapping[str, int] | None
-) -> dict[str, int]:
-    """Defaults + overrides, with localparams re-derived in declaration order.
-
-    Unlike :func:`repro.synth.elaborate.resolve_environment` this never
-    raises: overrides naming unknown or local parameters are skipped here
-    and reported by rule ``P004`` instead.
-    """
-    env = module.default_environment()
-    params = params or {}
-    known = module.parameter_map
-    for name, value in params.items():
-        param = known.get(name.lower())
-        if param is None or param.local:
-            continue
-        env[param.name] = int(value)
-    for param in module.parameters:
-        if param.local and param.default is not None:
-            value = param.default_value(env)
-            if value is not None:
-                env[param.name] = value
-    return env
+__all__: list[str] = []  # rules register themselves; nothing to export
 
 
 def _module(ctx: RuleContext) -> Module:
@@ -55,48 +31,33 @@ def _module(ctx: RuleContext) -> Module:
     return ctx.module
 
 
-def _bound(port: Port, which: str, env: Mapping[str, int]) -> Optional[int]:
-    node = port.ptype.high if which == "high" else port.ptype.low
-    if node is None:
-        return 0 if which == "low" else None
-    return E.evaluate(node, env)
+#: ``(port, high, low, names a parameter)`` of a port whose bounds fold.
+Range = tuple[Port, int, int, bool]
+#: ``(port, "high" or "low", why it does not fold)``.
+Unevaluable = tuple[Port, str, E.EvalError]
 
 
-#: A bound's value, or the error that kept it from folding.
-Bound = Union[Optional[int], E.EvalError]
-
-
-def _vector_bounds(ctx: RuleContext) -> list[tuple[Port, Bound, Bound]]:
-    """``(port, high, low)`` of every vector port, evaluated once per run.
-
-    P001 and P002 read the same bounds; an unevaluable bound is kept as
-    its :class:`~repro.hdl.expr.EvalError` for P002 to report.
-    """
-    bounds = ctx.cache.get("bounds")
+def _vector_bounds(ctx: RuleContext) -> tuple[list[Range], list[Unevaluable]]:
+    """The vector ports' bounds, folded once per run from the plan's
+    compiled expressions: the ranges of ports whose bounds both fold
+    (P001), and every bound that does not, in port order (P002)."""
+    bounds: tuple[list[Range], list[Unevaluable]] | None = ctx.cache.get("bounds")
     if bounds is None:
         env = E.fold_env(ctx.env or {})
-        bounds = []
-        for port in _module(ctx).ports:
-            if not port.ptype.is_vector():
-                continue
-            pair: list[Bound] = []
-            for which in ("high", "low"):
-                try:
-                    pair.append(_bound(port, which, env))
-                except E.EvalError as exc:
-                    pair.append(exc)
-            bounds.append((port, pair[0], pair[1]))
-        ctx.cache["bounds"] = bounds
+        ranges: list[Range] = []
+        unevaluable: list[Unevaluable] = []
+        for port, high, low, referenced in point_plan(ctx).vectors:
+            try:
+                ranges.append((port, high(env), low(env), referenced))
+            except E.EvalError:
+                # Compiled bounds are pure: fold each again to see which failed.
+                for which, bound in (("high", high), ("low", low)):
+                    try:
+                        bound(env)
+                    except E.EvalError as exc:
+                        unevaluable.append((port, which, exc))
+        bounds = ctx.cache["bounds"] = (ranges, unevaluable)
     return bounds
-
-
-def _width_refs_of(port: Port) -> set[str]:
-    refs: set[str] = set()
-    if port.ptype.high is not None:
-        refs |= E.free_names(port.ptype.high)
-    if port.ptype.low is not None:
-        refs |= E.free_names(port.ptype.low)
-    return refs
 
 
 def _point_repr(params: Mapping[str, int] | None) -> str:
@@ -115,11 +76,7 @@ def _point_repr(params: Mapping[str, int] | None) -> str:
 )
 def check_null_port_range(ctx: RuleContext) -> Iterator[Violation]:
     module = _module(ctx)
-    for port, high, low in _vector_bounds(ctx):
-        if isinstance(high, E.EvalError) or isinstance(low, E.EvalError):
-            continue  # P002 reports unevaluable expressions
-        if high is None or low is None:
-            continue
+    for port, high, low, referenced in _vector_bounds(ctx)[0]:
         # Both parsers normalize so the stored high is the wider end:
         # VHDL `l to r` stores high=r/low=l, so a null range — `7 downto 8`
         # or `0 to -1`, both width 0 in VHDL — is always high < low.
@@ -129,7 +86,7 @@ def check_null_port_range(ctx: RuleContext) -> Iterator[Violation]:
             # Verilog permits ascending index numbering (`[0:7]` is a
             # legal 8-bit vector); only a *parameter-dependent* range that
             # collapsed below its lsb is the degenerate-width bug class.
-            if not (_width_refs_of(port)):
+            if not referenced:
                 continue
         if port.ptype.descending:
             rendered = f"{high} downto {low}"
@@ -153,15 +110,13 @@ def check_null_port_range(ctx: RuleContext) -> Iterator[Violation]:
 )
 def check_unevaluable_width(ctx: RuleContext) -> Iterator[Violation]:
     module = _module(ctx)
-    for port, high, low in _vector_bounds(ctx):
-        for which, bound in (("high", high), ("low", low)):
-            if isinstance(bound, E.EvalError):
-                yield Violation(
-                    f"port {port.name!r} {which} bound is not evaluable at "
-                    f"point ({_point_repr(ctx.params)}): {bound}",
-                    module=module.name,
-                    line=port.line,
-                )
+    for port, which, error in _vector_bounds(ctx)[1]:
+        yield Violation(
+            f"port {port.name!r} {which} bound is not evaluable at "
+            f"point ({_point_repr(ctx.params)}): {error}",
+            module=module.name,
+            line=port.line,
+        )
 
 
 @rule(
@@ -176,10 +131,10 @@ def check_out_of_space_value(ctx: RuleContext) -> Iterator[Violation]:
     module = _module(ctx)
     if ctx.space is None or not ctx.params:
         return
+    plan = point_plan(ctx)
     for name, value in sorted(ctx.params.items()):
-        try:
-            dim = ctx.space.dimension(name)
-        except KeyError:
+        dim = plan.dimension(ctx.space, name)
+        if dim is None:
             continue  # not a DSE dimension; P004 covers unknown parameters
         try:
             encoded = dim.encode(int(value))
@@ -237,25 +192,18 @@ def check_unknown_or_local_override(ctx: RuleContext) -> Iterator[Violation]:
 )
 def check_subtype_violation(ctx: RuleContext) -> Iterator[Violation]:
     module = _module(ctx)
-    if not ctx.params:
+    subtypes = point_plan(ctx).subtypes
+    if not ctx.params or not subtypes:
         return
-    known = module.parameter_map
     for name, value in sorted(ctx.params.items()):
-        param = known.get(name.lower())
-        if param is None or param.local:
+        fact = subtypes.get(name.lower())
+        if fact is None:
             continue
+        param, allowed, reason = fact
         value = int(value)
-        ptype = param.ptype.lower()
-        bad: str | None = None
-        if ptype == "natural" and value < 0:
-            bad = "natural generics must be >= 0"
-        elif ptype == "positive" and value < 1:
-            bad = "positive generics must be >= 1"
-        elif param.is_boolean() and value not in (0, 1):
-            bad = f"{param.ptype} parameters take only 0/1"
-        if bad is not None:
+        if not allowed(value):
             yield Violation(
-                f"parameter {param.name!r} = {value}: {bad}",
+                f"parameter {param.name!r} = {value}: {reason}",
                 module=module.name,
                 line=param.line,
             )

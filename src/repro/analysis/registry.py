@@ -82,7 +82,9 @@ class RuleContext:
       lints the service layer, not user HDL).
 
     ``cache`` is scratch space shared by the rules of one run (the boxing
-    rules use it to render the wrapper once, not once per rule).
+    rules use it to build the box once, not once per rule).  A checker
+    seeds it with the module's point plan (``"plan"``, see
+    :mod:`repro.analysis.plan`); a rule called on its own builds one.
     """
 
     module: Optional[Module] = None

@@ -375,7 +375,8 @@ class ApproximateFitness:
         return self._note_point(encoded, result, record)
 
     def _dispatch(
-        self, X: np.ndarray, record: bool, fan_out: bool = True
+        self, X: np.ndarray, record: bool, fan_out: bool = True,
+        drc_passed: bool = False,
     ) -> np.ndarray:
         """The one tool path: encoded rows → raw metric matrix.
 
@@ -388,7 +389,10 @@ class ApproximateFitness:
         Otherwise each row resolves on this fitness's own evaluator:
         through the fidelity gate for plain fitness evaluations, while
         dataset inserts (``record=True``) always run the full flow — the
-        NWM must train on authoritative numbers.
+        NWM must train on authoritative numbers.  ``drc_passed`` says the
+        caller has already seen the DRC gate pass these rows, so they
+        resolve without asking it again (a batch evaluator still runs
+        its own pre-dispatch).
         """
         rows = np.atleast_2d(X)
         params = [self.space.decode(row) for row in rows]
@@ -403,22 +407,26 @@ class ApproximateFitness:
             if gated:
                 out[i] = self._run_gated(row, params[i])
                 continue
-            answer = batch[i] if batch is not None else self._resolve(params[i])
+            answer = (
+                batch[i] if batch is not None
+                else self._resolve(params[i], drc_passed)
+            )
             out[i] = self._account(row, params[i], answer, record)
         return out
 
-    def _resolve(self, params: dict[str, int]) -> Answer:
+    def _resolve(self, params: dict[str, int], drc_passed: bool = False) -> Answer:
         """One point on this fitness's own evaluator.
 
         The space-aware DRC gate rejects before the evaluator (whose own
-        gate knows the module but not the declared space) is touched;
-        then a prior process's full-route run is adopted cache-priced.
+        gate knows the module but not the declared space) is touched,
+        unless ``drc_passed`` says the caller already saw it pass; then a
+        prior process's full-route run is adopted cache-priced.
         Low-fidelity probe records (written by a gated session) are not
         adopted: the full flow must answer, and its record supersedes
         them.  The tool runs only when neither answers, and its answer
         is stored.
         """
-        found = consult(self.gate, self._store, params)
+        found = consult(None if drc_passed else self.gate, self._store, params)
         if found is not None:
             return found[0]
         result = run_tool(self.evaluator, params)
@@ -676,7 +684,9 @@ class ApproximateFitness:
                     )
                 )
             else:
-                out[i] = self._dispatch(row, record=True, fan_out=False)[0]
+                out[i] = self._dispatch(
+                    row, record=True, fan_out=False, drc_passed=True
+                )[0]
         return out
 
     def tool_runs(self) -> int:

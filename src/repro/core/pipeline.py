@@ -210,7 +210,7 @@ def drc_failure(
 
 
 def consult(
-    gate: PreflightGate,
+    gate: PreflightGate | None,
     store: "PointStore",
     params: Mapping[str, int],
     origin: str = "local",
@@ -220,10 +220,12 @@ def consult(
 
     Returns ``(answer, record)`` — ``record`` is the adopted store
     record, None for a DRC rejection — or None when the tool must run.
-    ``origin`` names the layer on a rejection's ledger row; ``min_rank``
-    is the lowest store rank that answers (see :meth:`PointStore.lookup`).
+    ``gate`` is None when the caller has already seen the gate pass
+    ``params``.  ``origin`` names the layer on a rejection's ledger row;
+    ``min_rank`` is the lowest store rank that answers (see
+    :meth:`PointStore.lookup`).
     """
-    failure = drc_failure(gate, params, origin)
+    failure = None if gate is None else drc_failure(gate, params, origin)
     if failure is not None:
         return failure, None
     record = store.lookup(params, min_rank)

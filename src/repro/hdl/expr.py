@@ -12,8 +12,9 @@ operands, which is all interface arithmetic uses).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 from repro.errors import HdlError
 
@@ -28,6 +29,8 @@ __all__ = [
     "Call",
     "EvalError",
     "FoldedEnv",
+    "Compiled",
+    "compile_expr",
     "evaluate",
     "fold_env",
     "free_names",
@@ -284,6 +287,157 @@ def evaluate(expr: Expr, env: Mapping[str, int | str | bool] | None = None) -> i
         raise EvalError(f"unknown expression node {type(node).__name__}")
 
     return ev(expr)
+
+
+#: A compiled expression: folded environment -> integer.
+Compiled = Callable[[Mapping[str, "int | str | bool"]], int]
+
+
+def _div(lv: int, rv: int) -> int:
+    if rv == 0:
+        raise EvalError("division by zero in constant expression")
+    return int(lv / rv)
+
+
+def _mod(lv: int, rv: int) -> int:
+    if rv == 0:
+        raise EvalError("modulo by zero in constant expression")
+    return lv % rv
+
+
+def _rem(lv: int, rv: int) -> int:
+    if rv == 0:
+        raise EvalError("rem by zero in constant expression")
+    return int(lv - int(lv / rv) * rv)
+
+
+def _pow(lv: int, rv: int) -> int:
+    if rv < 0:
+        raise EvalError("negative exponent in constant expression")
+    if rv * max(1, abs(lv).bit_length()) > FOLD_BIT_LIMIT:
+        raise EvalError("constant power exceeds the folding bit limit")
+    return lv**rv
+
+
+def _shl(lv: int, rv: int) -> int:
+    if rv > 0 and rv + abs(lv).bit_length() > FOLD_BIT_LIMIT:
+        raise EvalError("constant shift exceeds the folding bit limit")
+    return lv << rv
+
+
+def _bool_op(test: Callable[[bool, bool], bool]) -> Callable[[int, int], int]:
+    return lambda lv, rv: int(test(bool(lv), bool(rv)))
+
+
+def _compare(test: Callable[[int, int], bool]) -> Callable[[int, int], int]:
+    return lambda lv, rv: int(test(lv, rv))
+
+
+_BINARY: dict[str, Callable[[int, int], int]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _div,
+    "%": _mod,
+    "mod": _mod,
+    "rem": _rem,
+    "**": _pow,
+    "<<": _shl,
+    ">>": operator.rshift,
+    "and": _bool_op(lambda a, b: a and b),
+    "&&": _bool_op(lambda a, b: a and b),
+    "or": _bool_op(lambda a, b: a or b),
+    "||": _bool_op(lambda a, b: a or b),
+    "&": operator.and_,
+    "|": operator.or_,
+    "^": operator.xor,
+    "=": _compare(operator.eq),
+    "==": _compare(operator.eq),
+    "/=": _compare(operator.ne),
+    "!=": _compare(operator.ne),
+    "<": _compare(operator.lt),
+    "<=": _compare(operator.le),
+    ">": _compare(operator.gt),
+    ">=": _compare(operator.ge),
+}
+
+_UNARY: dict[str, Callable[[int], int]] = {
+    "-": operator.neg,
+    "+": lambda v: v,
+    "not": lambda v: int(v == 0),
+    "!": lambda v: int(v == 0),
+    "~": operator.invert,
+}
+
+
+def _raiser(message: str, *operands: Compiled) -> Compiled:
+    """A closure that evaluates ``operands`` in order, then raises."""
+
+    def fail(env: Mapping[str, int | str | bool]) -> int:
+        for operand in operands:
+            operand(env)
+        raise EvalError(message)
+
+    return fail
+
+
+def compile_expr(expr: Expr) -> Compiled:
+    """``expr`` compiled once into a closure over a folded environment.
+
+    ``compile_expr(e)(fold_env(env))`` answers what ``evaluate(e, env)``
+    answers — the same integer, or an :class:`EvalError` of the same type
+    and message — without walking the tree again: a caller evaluating
+    one expression under many environments (a port bound at every design
+    point) pays the dispatch on node type and operator once.  The closure
+    looks names up in its argument as given, so that must be folded
+    (:func:`fold_env`).  :func:`evaluate` stays the reference semantics.
+    """
+
+    def build(node: Expr) -> Compiled:
+        if isinstance(node, Num):
+            value = node.value
+            return lambda env: value
+        if isinstance(node, StrLit):
+            text = node.value
+            return lambda env: _as_int(text)
+        if isinstance(node, Name):
+            ident, key = node.ident, node.ident.lower()
+
+            def name(env: Mapping[str, int | str | bool]) -> int:
+                try:
+                    value = env[key]
+                except KeyError:
+                    raise EvalError(
+                        f"unbound name {ident!r} in constant expression "
+                        f"{expr.render()!r}"
+                    ) from None
+                return value if type(value) is int else _as_int(value)
+
+            return name
+        if isinstance(node, UnOp):
+            operand = build(node.operand)
+            unary = _UNARY.get(node.op)
+            if unary is None:
+                return _raiser(f"unknown unary operator {node.op!r}", operand)
+            return lambda env: unary(operand(env))
+        if isinstance(node, BinOp):
+            left, right = build(node.left), build(node.right)
+            binary = _BINARY.get(node.op)
+            if binary is None:
+                return _raiser(f"unknown binary operator {node.op!r}", left, right)
+            return lambda env: binary(left(env), right(env))
+        if isinstance(node, Cond):
+            cond, then, other = build(node.cond), build(node.then), build(node.other)
+            return lambda env: then(env) if cond(env) else other(env)
+        if isinstance(node, Call):
+            fn = _FUNCS.get(node.func.lower())
+            if fn is None:
+                return _raiser(f"uninterpretable function {node.func!r}")
+            args = tuple(build(a) for a in node.args)
+            return lambda env: fn([a(env) for a in args])
+        return _raiser(f"unknown expression node {type(node).__name__}")
+
+    return build(expr)
 
 
 def free_names(expr: Expr) -> set[str]:
