@@ -4,14 +4,18 @@ Simopt-style speculative pre-checks ahead of the CAD flow: before a design
 point is priced as a (simulated) Vivado run, the gate elaborates its
 parameter binding through the elaboration + boxing rule stages and rejects
 points that cannot produce a meaningful run — zero/negative port widths,
-out-of-space values, unboxable configurations.  A rejection costs nothing:
-no tool session is touched, no simulated seconds accrue.
+unboxable configurations.  A rejection costs nothing: no tool session is
+touched, no simulated seconds accrue.
 
 Verdicts are memoized on the frozen parameter binding (the same key the
 cross-batch evaluation memo uses), so a point is checked once per gate
 lifetime no matter how many generations re-propose it.  When every sampled
 point is feasible the gate is behaviour-neutral: the checks are pure
 functions of (module, binding) and consume no randomness.
+
+A verdict depends on the module, the binding, ``boxed``, the clock port
+and the netlist stage; the space feeds only the interval layer.  So one
+gate serves a whole evaluator stack: a repeated question is a memo hit.
 """
 
 from __future__ import annotations
@@ -145,7 +149,6 @@ class PreflightGate:
                 result = self.checker.check_point(
                     self.module,
                     params,
-                    space=self.space,
                     boxed=self.boxed,
                     clock_port=self.clock_port,
                 )

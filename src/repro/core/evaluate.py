@@ -79,8 +79,8 @@ class PointEvaluator:
         self.warnings = validate_module(self.module)
         # Point-level DRC pre-flight: evaluate() consults this gate before
         # touching the tool session, so infeasible bindings (null widths,
-        # unboxable configurations) never cost a run.  Verdicts memoize on
-        # the frozen binding — pure function of (module, params), no RNG.
+        # unboxable configurations) never cost a run.  A layer that
+        # dispatches to this evaluator installs its own gate here.
         self.gate = PreflightGate(self.module, boxed=boxed, clock_port=clock_port)
         self.part = part
         self.target_period_ns = float(target_period_ns)

@@ -118,10 +118,9 @@ class ApproximateFitness:
             min_points_to_estimate=min_points_to_estimate,
             refit_policy=self.refit_policy,
         )
-        # Space-aware DRC pre-flight gate: in addition to the evaluator's
-        # own point-level checks this one validates proposed values against
-        # the declared parameter space, and it lets the model-active path
-        # reject a point before the control model even sees it.
+        # The DRC pre-flight gate, asked before the control model sees a
+        # point and before dispatch.  It is also the evaluator's gate (and
+        # the pool's), so the evaluator's own check is a memo lookup.
         self.drc_netlist = bool(drc_netlist)
         self.gate = PreflightGate(
             evaluator.module,
@@ -130,6 +129,7 @@ class ApproximateFitness:
             clock_port=evaluator.clock_port,
             netlist_stage=self.drc_netlist,
         )
+        evaluator.gate = self.gate
         self.history: list[EvaluatedPoint] = []
         self.simulated_seconds = 0.0
         self.infeasible = 0
@@ -248,8 +248,6 @@ class ApproximateFitness:
         if self._parallel is None:
             from repro.core.parallel import ParallelPointEvaluator
 
-            # The pool parent gates with this fitness's own gate (space-
-            # aware, netlist stage, clock port), exactly as the serial path.
             self._parallel = ParallelPointEvaluator(
                 spec=self.spec,
                 workers=self.workers,
@@ -374,10 +372,7 @@ class ApproximateFitness:
             )
         return self._note_point(encoded, result, record)
 
-    def _dispatch(
-        self, X: np.ndarray, record: bool, fan_out: bool = True,
-        drc_passed: bool = False,
-    ) -> np.ndarray:
+    def _dispatch(self, X: np.ndarray, record: bool, fan_out: bool = True) -> np.ndarray:
         """The one tool path: encoded rows → raw metric matrix.
 
         A bound fleet facade takes every dispatch, so cross-tenant dedup
@@ -389,10 +384,7 @@ class ApproximateFitness:
         Otherwise each row resolves on this fitness's own evaluator:
         through the fidelity gate for plain fitness evaluations, while
         dataset inserts (``record=True``) always run the full flow — the
-        NWM must train on authoritative numbers.  ``drc_passed`` says the
-        caller has already seen the DRC gate pass these rows, so they
-        resolve without asking it again (a batch evaluator still runs
-        its own pre-dispatch).
+        NWM must train on authoritative numbers.
         """
         rows = np.atleast_2d(X)
         params = [self.space.decode(row) for row in rows]
@@ -407,26 +399,22 @@ class ApproximateFitness:
             if gated:
                 out[i] = self._run_gated(row, params[i])
                 continue
-            answer = (
-                batch[i] if batch is not None
-                else self._resolve(params[i], drc_passed)
-            )
+            answer = batch[i] if batch is not None else self._resolve(params[i])
             out[i] = self._account(row, params[i], answer, record)
         return out
 
-    def _resolve(self, params: dict[str, int], drc_passed: bool = False) -> Answer:
+    def _resolve(self, params: dict[str, int]) -> Answer:
         """One point on this fitness's own evaluator.
 
-        The space-aware DRC gate rejects before the evaluator (whose own
-        gate knows the module but not the declared space) is touched,
-        unless ``drc_passed`` says the caller already saw it pass; then a
-        prior process's full-route run is adopted cache-priced.
+        The DRC gate rejects before the evaluator is touched (a point the
+        model path already checked is a memo hit); then a prior
+        process's full-route run is adopted cache-priced.
         Low-fidelity probe records (written by a gated session) are not
         adopted: the full flow must answer, and its record supersedes
         them.  The tool runs only when neither answers, and its answer
         is stored.
         """
-        found = consult(None if drc_passed else self.gate, self._store, params)
+        found = consult(self.gate, self._store, params)
         if found is not None:
             return found[0]
         result = run_tool(self.evaluator, params)
@@ -684,9 +672,7 @@ class ApproximateFitness:
                     )
                 )
             else:
-                out[i] = self._dispatch(
-                    row, record=True, fan_out=False, drc_passed=True
-                )[0]
+                out[i] = self._dispatch(row, record=True, fan_out=False)[0]
         return out
 
     def tool_runs(self) -> int:

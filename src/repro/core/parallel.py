@@ -126,10 +126,10 @@ class ParallelPointEvaluator:
     persistent cross-process result store, consulted before dispatch and
     appended after every tool run (disabled for incremental specs, whose
     results are order-dependent; such a spec also refuses ``workers > 1``).
-    ``gate`` is the DRC pre-flight gate
-    consulted before dispatch; a fitness hands over its own (space-aware,
-    optionally netlist-staged) gate, and without one a gate is built
-    from the spec on first use.  ``dispatched``/``memo_hits``/
+    ``gate`` is the DRC pre-flight gate consulted before dispatch, and
+    every evaluator built in-process checks with it; a fitness or a
+    sweep hands over its own, and without one a gate is built from the
+    spec on first use.  ``dispatched``/``memo_hits``/
     ``store_hits`` count the split for perf reporting.
     """
 
@@ -213,6 +213,13 @@ class ParallelPointEvaluator:
             )
         return self.gate
 
+    def _tool_evaluator(self) -> PointEvaluator:
+        """The in-process evaluator, built once, checking with this gate."""
+        if self._serial is None:
+            self._serial = self.spec.build()
+            self._serial.gate = self._preflight()
+        return self._serial
+
     def _pre_dispatch(
         self, key: tuple, params: dict[str, int]
     ) -> tuple[Answer, str] | None:
@@ -280,13 +287,11 @@ class ParallelPointEvaluator:
                 fresh[key] = p
 
         if fresh and self.workers <= 1:
-            if self._serial is None:
-                self._serial = self.spec.build()
             for key, params in fresh.items():
                 # The in-process evaluator records its own ledger entries
                 # (it sees the parent's telemetry bundle).
                 result = run_tool(
-                    self._serial, params, latency=self.spec.emulate_tool_latency
+                    self._tool_evaluator(), params, latency=self.spec.emulate_tool_latency
                 )
                 self._commit(key, params, result)
         elif fresh:

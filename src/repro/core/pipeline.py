@@ -26,7 +26,9 @@ is the fitness's one tool path.  The pool's are
 :meth:`ParallelPointEvaluator._pre_dispatch` (memo, then consult) and
 :meth:`ParallelPointEvaluator._commit` (memo and store append), which a
 serve fleet member inherits.  This module imports no process pool, so
-the serial path pays nothing for it.
+the serial path pays nothing for it.  The layer that consults a point
+holds the DRC gate of every evaluator it runs in-process, so that
+evaluator's own check is a memo hit (pool workers check again).
 """
 
 from __future__ import annotations
@@ -210,7 +212,7 @@ def drc_failure(
 
 
 def consult(
-    gate: PreflightGate | None,
+    gate: PreflightGate,
     store: "PointStore",
     params: Mapping[str, int],
     origin: str = "local",
@@ -220,12 +222,11 @@ def consult(
 
     Returns ``(answer, record)`` — ``record`` is the adopted store
     record, None for a DRC rejection — or None when the tool must run.
-    ``gate`` is None when the caller has already seen the gate pass
-    ``params``.  ``origin`` names the layer on a rejection's ledger row;
-    ``min_rank`` is the lowest store rank that answers (see
-    :meth:`PointStore.lookup`).
+    A point this gate already checked is a memo hit.  ``origin`` names
+    the layer on a rejection's ledger row; ``min_rank`` is the lowest
+    store rank that answers (see :meth:`PointStore.lookup`).
     """
-    failure = None if gate is None else drc_failure(gate, params, origin)
+    failure = drc_failure(gate, params, origin)
     if failure is not None:
         return failure, None
     record = store.lookup(params, min_rank)

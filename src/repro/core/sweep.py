@@ -140,7 +140,7 @@ def run_sweep(
 
         spec = EvaluatorSpec.from_evaluator(evaluator, design_name=design_name)
         with ParallelPointEvaluator(
-            spec=spec, workers=workers, store=result_store
+            spec=spec, workers=workers, store=result_store, gate=evaluator.gate
         ) as pool:
             outs = pool.evaluate_many(list(points))
     else:

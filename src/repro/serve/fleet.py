@@ -61,8 +61,9 @@ class _ConcurrentMember(ParallelPointEvaluator):
     of :class:`~repro.core.parallel.ParallelPointEvaluator`; what changes
     is the concurrency contract.  :meth:`evaluate_point` runs both steps
     under the state lock and the tool run between them without it, on a
-    thread-local tool evaluator, so distinct configurations evaluate in
-    parallel while the shared state stays single-writer.
+    thread-local tool evaluator that holds the member's gate (its check
+    is a memo hit), so distinct configurations evaluate in parallel
+    while the shared state stays single-writer.
 
     Identical configurations must not race through the fresh path — the
     caller (the scheduler's single-flight table, keyed on exactly this
@@ -82,6 +83,8 @@ class _ConcurrentMember(ParallelPointEvaluator):
         evaluator = getattr(self._tool_local, "evaluator", None)
         if evaluator is None:
             evaluator = self.spec.build()
+            with self._state_lock:
+                evaluator.gate = self._preflight()
             self._tool_local.evaluator = evaluator
         return evaluator
 

@@ -8,6 +8,7 @@ run in which every point is feasible is behaviour-neutral.
 import numpy as np
 import pytest
 
+from repro.analysis.checker import DesignRuleChecker
 from repro.analysis.gate import PreflightGate, freeze_params
 from repro.core.evaluate import PointEvaluator
 from repro.core.fitness import ApproximateFitness, DseProblem
@@ -84,11 +85,20 @@ class TestPreflightGate:
         assert error.findings and error.findings[0].code == "P001"
         assert gate.violation({"W": 8}) is None
 
-    def test_space_aware_gate_rejects_out_of_space(self):
+    def test_space_feeds_no_verdict(self):
+        """An out-of-space binding is judged like any other: the space
+        feeds only the interval layer, and P003 stays a checker rule."""
         space = ParameterSpace([IntRange("W", 4, 16)])
         gate = PreflightGate(nullable_module(), space=space)
-        assert not gate.is_feasible({"W": 64})
-        assert gate.is_feasible({"W": 8})
+        plain = PreflightGate(nullable_module())
+        for w in (1, 8, 64):
+            assert gate.errors({"W": w}) == plain.errors({"W": w})
+        assert gate.is_feasible({"W": 64})
+        assert [f.code for f in gate.errors({"W": 1})] == ["P001"]
+        found = DesignRuleChecker().check_point(
+            nullable_module(), {"W": 64}, space=space
+        )
+        assert [f.code for f in found.errors()] == ["P003"]
 
 
 class TestEvaluatorGate:

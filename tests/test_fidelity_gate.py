@@ -272,6 +272,39 @@ class TestGatedExploration:
             assert expected is not None
             assert np.array_equal(archive.F[i], expected)
 
+    def test_promote_archive_patches_speculative_rows(self):
+        """An archive of just the speculative points (a smoke-size search
+        leaves none on its own front) must be promoted and patched: each
+        promoted row ends equal to its binding's full-route run."""
+        session, _ = _explore(gate=True)
+        fitness = session.fitness
+        names = session.evaluator.metric_names()
+        signs = fitness.promotion_gate.signs
+        spec = [p for p in fitness.history if p.source == "speculative"]
+
+        class Archive:
+            X = np.array([fitness.space.encode(p.parameters) for p in spec])
+            F = signs * np.array([[p.metrics[n] for n in names] for p in spec])
+
+        before = Archive.F.copy()
+        assert fitness.promote_archive(Archive) > 0
+        full = {
+            tuple(sorted(p.parameters.items())): signs * np.array(
+                [p.metrics[n] for n in names]
+            )
+            for p in fitness.history
+            if p.source == "tool" and p.fidelity == "full-route"
+        }
+        patched = 0
+        for p, row, old in zip(spec, Archive.F, before):
+            expected = full.get(tuple(sorted(p.parameters.items())))
+            if expected is None:
+                assert np.array_equal(row, old)  # never promoted
+            else:
+                assert np.array_equal(row, expected)
+                patched += 1
+        assert patched > 0
+
     def test_promote_archive_idempotent(self):
         session, result = _explore(gate=True)
         before = session.fitness.simulated_seconds
