@@ -41,19 +41,25 @@ replay instead of re-running the tool.  The steps themselves live in
 :mod:`repro.core.pipeline`, shared with the serial fitness path and the
 serve fleet.
 
-Workers are initialized once with a picklable :class:`EvaluatorSpec` and
-rebuild their own evaluator; built-in case-study designs are re-registered
-by name inside each worker so architectural models exist under ``spawn``
-start methods too.
+Every task names its picklable :class:`EvaluatorSpec`, and a worker
+builds one evaluator per spec on first use (:func:`run_point`, the one
+worker entry point, shared with the serve fleet's pool); built-in
+case-study designs are re-registered by name inside each worker so
+architectural models exist under ``spawn`` start methods too.  A worker
+exits when its parent process dies.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
+import threading
+import time
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Mapping, Sequence
 
 from repro.analysis.gate import PreflightGate, freeze_params
@@ -70,39 +76,84 @@ from repro.core.pipeline import (
     run_tool,
     settle,
 )
-from repro.observe import current_telemetry, enable_telemetry
+from repro.observe import current_telemetry, disable_telemetry, enable_telemetry
 
 __all__ = [
     "EvaluatorSpec",
     "EvaluationFailure",
     "ParallelPointEvaluator",
     "RemoteEvaluationError",
+    "init_worker",
+    "run_point",
 ]
 
 
-# Per-worker evaluator (module globals: one build per worker process).
-_WORKER: PointEvaluator | None = None
+# Worker-process state (module globals, one copy per worker process).
+_EVALUATORS: OrderedDict[EvaluatorSpec, PointEvaluator] = OrderedDict()
+#: Evaluators one worker keeps, least recently used evicted first: a
+#: served worker runs points of many specs, each evaluator holding its
+#: parsed design and its tool session's caches.
+_MAX_EVALUATORS = 8
 _INIT_CALLS = 0
-_WORKER_LATENCY = 0.0
 
 
-def _init_worker(spec: EvaluatorSpec, telemetry_enabled: bool = False) -> None:
-    global _WORKER, _INIT_CALLS, _WORKER_LATENCY
+def _watch_parent(parent: int) -> None:
+    """Exit once the process that started this worker is gone.
+
+    A pool worker blocks on its task queue, whose write end a forked
+    worker holds itself, so a killed parent never wakes it; the
+    parent's death shows only as the worker being re-parented.
+    """
+    while os.getppid() == parent:
+        time.sleep(0.25)
+    os._exit(1)
+
+
+def init_worker() -> None:
+    """Pool initializer: drop state a forked worker inherited."""
+    global _INIT_CALLS
     _INIT_CALLS += 1
-    if telemetry_enabled:
-        # The worker keeps a local bundle; every task drains it into the
-        # result tuple so the parent can merge spans/records/counters.
-        enable_telemetry()
-    _WORKER = spec.build()
-    _WORKER_LATENCY = max(0.0, float(spec.emulate_tool_latency))
+    _EVALUATORS.clear()
+    # A forked worker holds a copy of the parent's bundle; each task
+    # says whether to collect (see :func:`run_point`).
+    disable_telemetry()
+    # A terminal's Ctrl-C reaches the whole process group; the parent
+    # decides what it means (a server drains, on its workers).
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threading.Thread(
+        target=_watch_parent, args=(os.getppid(),), name="watch-parent", daemon=True
+    ).start()
 
 
-def _evaluate_one_safe(params: dict[str, int]) -> tuple[Answer, dict | None]:
-    assert _WORKER is not None, "worker not initialized"
+def _evaluator(spec: EvaluatorSpec) -> PointEvaluator:
+    evaluator = _EVALUATORS.pop(spec, None)
+    if evaluator is None:
+        evaluator = spec.build()
+        while len(_EVALUATORS) >= _MAX_EVALUATORS:
+            _EVALUATORS.popitem(last=False)
+    _EVALUATORS[spec] = evaluator
+    return evaluator
+
+
+def run_point(
+    spec: EvaluatorSpec, params: dict[str, int], latency: float, telemetry: bool
+) -> tuple[Answer, dict | None]:
+    """The worker entry point: one tool run and the telemetry it made.
+
+    Whether to collect travels with the task, so a pool that outlives
+    one telemetry session follows the next.  The worker's evaluator for
+    ``spec`` checks the point on its own DRC gate and writes the run's
+    ledger row; the row comes back in the delta.
+    """
+    tel = current_telemetry()
+    if telemetry and tel is None:
+        tel = enable_telemetry()
+    elif not telemetry and tel is not None:
+        disable_telemetry()
+        tel = None
     # The sleep blocks only this worker process, so the schedule — not
     # the host's core count — sets the wall clock.
-    result = run_tool(_WORKER, params, latency=_WORKER_LATENCY)
-    tel = current_telemetry()
+    result = run_tool(_evaluator(spec), params, latency=latency)
     return result, tel.drain_delta() if tel is not None else None
 
 
@@ -127,9 +178,11 @@ class ParallelPointEvaluator:
     appended after every tool run (disabled for incremental specs, whose
     results are order-dependent; such a spec also refuses ``workers > 1``).
     ``gate`` is the DRC pre-flight gate consulted before dispatch, and
-    every evaluator built in-process checks with it; a fitness or a
-    sweep hands over its own, and without one a gate is built from the
-    spec on first use.  ``dispatched``/``memo_hits``/
+    the in-process evaluator checks with it; a fitness or a sweep hands
+    over its own, and without one a gate is built from the spec on first
+    use.  ``evaluator`` is the in-process evaluator (``workers <= 1``);
+    a caller hands over its own so no second one is built, and its gate
+    is the default ``gate``.  ``dispatched``/``memo_hits``/
     ``store_hits`` count the split for perf reporting.
     """
 
@@ -138,6 +191,7 @@ class ParallelPointEvaluator:
     start_method: str | None = None
     store: ResultStore | None = None
     gate: PreflightGate | None = None
+    evaluator: InitVar[PointEvaluator | None] = None
     _serial: PointEvaluator | None = field(default=None, init=False, repr=False)
     _pool: ProcessPoolExecutor | None = field(default=None, init=False, repr=False)
     memo: dict[tuple, Answer] = field(default_factory=dict, init=False, repr=False)
@@ -148,7 +202,7 @@ class ParallelPointEvaluator:
     store_puts: int = field(default=0, init=False)
     _point_store: PointStore = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, evaluator: PointEvaluator | None) -> None:
         if self.spec.incremental and self.workers > 1:
             raise ValueError(
                 "incremental specs cannot fan out over worker processes: "
@@ -156,6 +210,9 @@ class ParallelPointEvaluator:
                 "so results would depend on which worker ran which point"
             )
         self._point_store = PointStore(self.store, self.spec)
+        self._serial = evaluator
+        if evaluator is not None and self.gate is None:
+            self.gate = evaluator.gate
 
     # -- lifecycle ------------------------------------------------------
 
@@ -166,14 +223,10 @@ class ParallelPointEvaluator:
                 if self.start_method
                 else None
             )
-            # Telemetry enablement is frozen at pool creation: workers
-            # started with it off never collect (so a later enable in the
-            # parent sees no worker records until the pool is rebuilt).
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 mp_context=context,
-                initializer=_init_worker,
-                initargs=(self.spec, current_telemetry() is not None),
+                initializer=init_worker,
             )
         return self._pool
 
@@ -214,7 +267,8 @@ class ParallelPointEvaluator:
         return self.gate
 
     def _tool_evaluator(self) -> PointEvaluator:
-        """The in-process evaluator, built once, checking with this gate."""
+        """The in-process evaluator (built once unless handed over),
+        checking with this gate."""
         if self._serial is None:
             self._serial = self.spec.build()
             self._serial.gate = self._preflight()
@@ -296,7 +350,12 @@ class ParallelPointEvaluator:
                 self._commit(key, params, result)
         elif fresh:
             pool = self._ensure_pool()
-            futures = [pool.submit(_evaluate_one_safe, p) for p in fresh.values()]
+            tel = current_telemetry()
+            latency = self.spec.emulate_tool_latency
+            futures = [
+                pool.submit(run_point, self.spec, p, latency, tel is not None)
+                for p in fresh.values()
+            ]
             # Every run must come back before any is committed: a broken
             # pool raises here and leaves no trace of the batch.
             try:
@@ -307,7 +366,6 @@ class ParallelPointEvaluator:
                 pool.shutdown(wait=True, cancel_futures=True)
                 self._pool = None
                 raise
-            tel = current_telemetry()
             for (key, params), (result, delta) in zip(fresh.items(), answers):
                 if delta is not None and tel is not None:
                     tel.merge_delta(delta, origin="worker")

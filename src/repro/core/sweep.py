@@ -139,8 +139,10 @@ def run_sweep(
         from repro.core.parallel import EvaluatorSpec, ParallelPointEvaluator
 
         spec = EvaluatorSpec.from_evaluator(evaluator, design_name=design_name)
+        # In-process runs (``workers <= 1``) use the caller's evaluator,
+        # and every point is checked on its gate.
         with ParallelPointEvaluator(
-            spec=spec, workers=workers, store=result_store, gate=evaluator.gate
+            spec=spec, workers=workers, store=result_store, evaluator=evaluator
         ) as pool:
             outs = pool.evaluate_many(list(points))
     else:

@@ -8,19 +8,30 @@ persistent-store binding, so the *first* tenant to evaluate a
 configuration pays for it and every later tenant replays it as a cache
 answer.
 
-Members are :class:`_ConcurrentMember` evaluators built with
-``workers=0``: each tool run executes inline on whichever scheduler pool
-thread the request was dispatched to, with a thread-local tool evaluator
-per pool thread.  Shared member state (memo, DRC gate, store handle,
-counters) lives behind a short-critical-section ``_state_lock`` that is
-*never* held across a tool run — so evaluations of distinct
-configurations proceed in parallel up to the scheduler's capacity.
-Identical configurations never race: the scheduler single-flights them
-by evaluation cache key, turning N concurrent tenants on one point into
-one executor slot plus N-1 coalesced answers.  Serialized serving is a
-``capacity=1`` scheduler, not a separate evaluation mode.  Incremental
-specs are refused: their results depend on evaluation order, which a
-shared member cannot promise.
+Every tool run goes to the fleet's one worker pool, shared by all
+members: ``workers`` processes (the server passes its ``capacity``), so
+distinct configurations run on as many cores, outside the server's
+GIL.  A worker keeps one evaluator per spec
+(:func:`~repro.core.parallel.run_point`), checks each point on that
+evaluator's own DRC gate, and ships the run's ledger rows, spans and
+counters back with its answer.  The pool is forked when the fleet is
+built, so a server builds its fleet before it starts any thread; a
+pool that breaks (a worker killed mid-run) is replaced by one started
+through a fork server, never forked from the threaded server, and the
+runs it lost are retried there once.  Workers exit when the server
+process dies.
+
+Members are :class:`_ConcurrentMember` evaluators: the memo, DRC gate,
+store handle and counters live behind a short-critical-section
+``_state_lock`` that is *never* held across a tool run — so
+evaluations of distinct configurations proceed in parallel up to the
+scheduler's capacity.  Identical configurations never race: the
+scheduler single-flights them by evaluation cache key, turning N
+concurrent tenants on one point into one executor slot plus N-1
+coalesced answers.  Serialized serving is a ``capacity=1`` scheduler,
+not a separate evaluation mode.  Incremental specs are refused: their
+results depend on evaluation order, which a shared member cannot
+promise.
 
 :class:`SchedulerBoundEvaluator` is the facade a session binds via
 ``ApproximateFitness.set_batch_evaluator``: it exposes the same
@@ -31,8 +42,10 @@ round-robin interleaves *points*, not whole batches.
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
-from concurrent.futures import Future
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.analysis.gate import freeze_params
@@ -40,8 +53,10 @@ from repro.core.parallel import (
     EvaluationFailure,
     EvaluatorSpec,
     ParallelPointEvaluator,
+    init_worker,
+    run_point,
 )
-from repro.core.pipeline import replay, run_tool, settle
+from repro.core.pipeline import Answer, replay, settle
 from repro.observe import current_telemetry
 from repro.serve.scheduler import FairScheduler
 
@@ -54,16 +69,88 @@ def _count(name: str, value: float = 1) -> None:
         tel.counters.add(name, value)
 
 
+class _ToolPool:
+    """The fleet's worker processes: where every served tool run happens."""
+
+    def __init__(self, workers: int) -> None:
+        self.workers = workers
+        self._lock = threading.Lock()
+        self._closed = False
+        self._executor: ProcessPoolExecutor | None = self._start("fork")
+
+    def _start(self, method: str) -> ProcessPoolExecutor:
+        executor = ProcessPoolExecutor(
+            max_workers=self.workers,
+            mp_context=multiprocessing.get_context(method),
+            initializer=init_worker,
+        )
+        # The first submit starts every worker at once (a forking pool
+        # starts them all), here on the caller's thread.
+        executor.submit(int)
+        return executor
+
+    def _current(self) -> ProcessPoolExecutor:
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("the fleet's worker pool is closed")
+            if self._executor is None:
+                # The server is threaded by now: start the pool through
+                # a fork server, never by forking the server.
+                self._executor = self._start("forkserver")
+            return self._executor
+
+    def _discard(self, executor: ProcessPoolExecutor) -> None:
+        with self._lock:
+            if self._executor is not executor:
+                return  # another run already replaced it
+            self._executor = None
+        executor.shutdown(wait=False, cancel_futures=True)
+        _count("serve.pool_restarts")
+
+    def _submit(self, task: tuple) -> tuple[Answer, dict | None]:
+        executor = self._current()
+        try:
+            return executor.submit(*task).result()
+        except BrokenProcessPool:
+            self._discard(executor)
+            raise
+
+    def run(self, spec: EvaluatorSpec, params: dict[str, int]) -> Answer:
+        """One tool run on a worker; its telemetry lands in this process.
+
+        A run lost to a broken pool is retried once on a fresh pool (a
+        tool run is a pure function of spec and point); a second loss
+        raises :class:`BrokenProcessPool` to the caller.
+        """
+        tel = current_telemetry()
+        task = (run_point, spec, params, spec.emulate_tool_latency, tel is not None)
+        try:
+            result, delta = self._submit(task)
+        except BrokenProcessPool:
+            result, delta = self._submit(task)
+        if delta is not None and tel is not None:
+            # Each record keeps the origin its evaluator gave it.
+            tel.merge_delta(delta, origin=None)
+        return result
+
+    def close(self) -> None:
+        """Stop the workers (idempotent); later runs raise."""
+        with self._lock:
+            self._closed = True
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True)
+
+
 class _ConcurrentMember(ParallelPointEvaluator):
     """A fleet member whose point evaluations may run on many threads.
 
     Inherits the pre-dispatch (memo → DRC gate → store) and commit steps
     of :class:`~repro.core.parallel.ParallelPointEvaluator`; what changes
     is the concurrency contract.  :meth:`evaluate_point` runs both steps
-    under the state lock and the tool run between them without it, on a
-    thread-local tool evaluator that holds the member's gate (its check
-    is a memo hit), so distinct configurations evaluate in parallel
-    while the shared state stays single-writer.
+    under the state lock and the tool run between them without it, on
+    the fleet's worker pool, so distinct configurations evaluate in
+    parallel while the shared state stays single-writer.
 
     Identical configurations must not race through the fresh path — the
     caller (the scheduler's single-flight table, keyed on exactly this
@@ -71,22 +158,14 @@ class _ConcurrentMember(ParallelPointEvaluator):
     key.
     """
 
-    def __init__(self, spec: EvaluatorSpec, store: Any = None) -> None:
+    def __init__(
+        self, spec: EvaluatorSpec, tools: _ToolPool, store: Any = None
+    ) -> None:
         super().__init__(spec=spec, workers=0, store=store)
         # Guards memo/counters/gate/identity caches and the store handle.
-        # Held only for bookkeeping — never across a tool run or its
-        # emulated latency sleep.
+        # Held only for bookkeeping — never across a tool run.
         self._state_lock = threading.Lock()
-        self._tool_local = threading.local()
-
-    def _tool_evaluator(self) -> Any:
-        evaluator = getattr(self._tool_local, "evaluator", None)
-        if evaluator is None:
-            evaluator = self.spec.build()
-            with self._state_lock:
-                evaluator.gate = self._preflight()
-            self._tool_local.evaluator = evaluator
-        return evaluator
+        self._tools = tools
 
     def evaluate_point(
         self, params: dict[str, int]
@@ -103,25 +182,30 @@ class _ConcurrentMember(ParallelPointEvaluator):
             answer = self._pre_dispatch(key, params)
         if answer is not None:
             return answer
-        # The tool run happens outside the lock: parallelism across
-        # distinct configurations is the whole point, and the emulated
-        # tool latency must block only this pool thread.
-        result = run_tool(
-            self._tool_evaluator(), params, latency=self.spec.emulate_tool_latency
-        )
+        # The tool run happens outside the lock, on a worker process:
+        # parallelism across distinct configurations is the whole point.
+        result = self._tools.run(self.spec, params)
         with self._state_lock:
             self._commit(key, params, result)
         return result, "tool"
 
 
 class EvaluatorFleet:
-    """One shared evaluator per spec."""
+    """One shared evaluator per spec, and one worker pool for all of them.
 
-    def __init__(self, store_root: str | None = None, shards: int = 8) -> None:
+    ``workers`` sizes the pool (a server passes its ``capacity``).  The
+    pool's processes are forked here, so build the fleet before starting
+    any thread; :meth:`close` stops them.
+    """
+
+    def __init__(
+        self, store_root: str | None = None, shards: int = 8, workers: int = 1
+    ) -> None:
         self.store_root = store_root
         self.shards = shards
         self._lock = threading.Lock()
         self._members: dict[EvaluatorSpec, _ConcurrentMember] = {}
+        self._tools = _ToolPool(workers)
 
     def _member(self, spec: EvaluatorSpec) -> _ConcurrentMember:
         with self._lock:
@@ -137,7 +221,7 @@ class EvaluatorFleet:
                     # on-disk flock keeps cross-handle appends
                     # first-writer-wins.
                     store = open_store(self.store_root, shards=self.shards)
-                evaluator = _ConcurrentMember(spec, store=store)
+                evaluator = _ConcurrentMember(spec, self._tools, store=store)
                 self._members[spec] = evaluator
             return evaluator
 
@@ -175,6 +259,7 @@ class EvaluatorFleet:
             self._members.clear()
         for member in members:
             member.close()
+        self._tools.close()
 
 
 class ScheduledBatch:

@@ -23,16 +23,18 @@ job-runner thread.  The session itself is the stock
 :class:`~repro.core.session.DseSession`; the only serve-specific wiring
 is ``fitness.set_batch_evaluator`` binding it to the shared fleet, so
 every tool dispatch flows through the fair scheduler and the shared
-store.  Fronts are therefore byte-identical to the same session run
-standalone — the service changes *who pays* for each tool run, never
-the answers.
+store.  The tool runs themselves happen in the fleet's worker
+processes, one per scheduler slot (``capacity``).  Fronts are therefore
+byte-identical to the same session run standalone — the service changes
+*who pays* for each tool run, never the answers.
 
 Cancellation: the queue's ``.cancel`` marker is polled each tick and
 translated into ``scheduler.cancel_job`` — queued evaluations fail fast
 with :class:`~repro.serve.scheduler.JobCancelledError`, which unwinds
 that session's explore loop; in-flight runs finish and stay in the
 store.  Shutdown (``STOP`` file, ``stop()``, or ``max_idle_s``) stops
-claiming, drains the scheduler, and joins every runner.
+claiming, drains the scheduler, joins every runner and stops the tool
+workers; a killed server's workers exit on their own.
 """
 
 from __future__ import annotations
@@ -113,10 +115,14 @@ class DseServer:
         #: the serve-throughput benchmark's stand-in for external tool
         #: latency.  0 (the default) disables it.
         self.emulate_tool_latency = emulate_tool_latency
+        # One tool worker per scheduler slot.  The fleet forks them, so it
+        # is built before anything here starts a thread.
+        self.fleet = EvaluatorFleet(
+            store_root=str(self.store_root), shards=shards, workers=capacity
+        )
         # Backpressure: a job may hold four requests per pool thread,
         # queued or running, before its session thread blocks.
         self.scheduler = FairScheduler(capacity=capacity, max_pending=4 * capacity)
-        self.fleet = EvaluatorFleet(store_root=str(self.store_root), shards=shards)
         self.jobs_done = 0
         self.jobs_failed = 0
         self.jobs_cancelled = 0

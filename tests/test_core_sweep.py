@@ -129,3 +129,52 @@ class TestRunSweep:
         assert result.pareto() == []
         with pytest.raises(ValueError):
             result.save_csv("nowhere.csv")
+
+
+class TestSweepOverAStore:
+    """A sweep over a result store with ``workers <= 1`` runs its fresh
+    points on the caller's evaluator, not on a second one built from the
+    spec, and answers as the spec-built evaluator did."""
+
+    POINTS = grid(OP_TABLE_SIZE=[8, 16], PIPELINE=[2, 3])
+    # (source, metrics, simulated seconds) per point, recorded while the
+    # sweep still built a second evaluator from the spec.
+    EXPECTED = [
+        ("tool", {"LUT": 489.0, "frequency": 189.2863903085368}, 160.113),
+        ("tool", {"LUT": 545.0, "frequency": 195.84802193497845}, 168.808),
+        ("tool", {"LUT": 585.0, "frequency": 164.69038208168644}, 170.077),
+        ("tool", {"LUT": 638.0, "frequency": 188.04061677322304}, 178.81900000000002),
+    ]
+
+    @staticmethod
+    def _sweep(evaluator, tmp_path):
+        return run_sweep(
+            evaluator, TestSweepOverAStore.POINTS,
+            result_store=str(tmp_path / "store"), design_name="corundum-cqm",
+        )
+
+    def test_no_second_evaluator_is_built(self, tmp_path, monkeypatch):
+        import repro.core.evaluate as evaluate
+
+        design = get_design("corundum-cqm")
+        evaluator = PointEvaluator(design.source(), design.language, design.top)
+        parses: list[object] = []
+        original = evaluate.parse_source
+
+        def spy(*args, **kwargs):
+            parses.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "parse_source", spy)
+        result = self._sweep(evaluator, tmp_path)
+        assert len(result) == 4 and parses == []
+        assert evaluator.evaluations == 4
+
+    def test_answers_equal_the_spec_built_evaluator(self, tmp_path):
+        design = get_design("corundum-cqm")
+        evaluator = PointEvaluator(design.source(), design.language, design.top)
+        result = self._sweep(evaluator, tmp_path)
+        assert [
+            (p.source, p.metrics, p.simulated_seconds) for p in result.points
+        ] == self.EXPECTED
+        assert [p.parameters for p in result.points] == self.POINTS
