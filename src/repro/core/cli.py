@@ -677,6 +677,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "serve":
+        import signal
+        import threading
+
         from repro.serve import DseServer
 
         server = DseServer(
@@ -690,11 +693,18 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(f"serving from {args.root} "
               f"(capacity={args.capacity}, shards={args.shards}; "
               f"touch {Path(args.root) / 'STOP'} to drain)")
+        # Ctrl-C drains as STOP does.  The handler may interrupt the
+        # serve loop while it holds the lock stop() takes, so stop() runs
+        # on a thread of its own.
+        previous = signal.signal(
+            signal.SIGINT, lambda *_: threading.Thread(target=server.stop).start()
+        )
         try:
             stats = server.serve_forever(
                 max_idle_s=args.max_idle, stop_after=args.stop_after
             )
         finally:
+            signal.signal(signal.SIGINT, previous)
             if tel is not None:
                 _finish_trace(tel, args, "serve")
         fleet = stats["fleet"]

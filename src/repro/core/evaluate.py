@@ -80,7 +80,7 @@ class PointEvaluator:
         # Point-level DRC pre-flight: evaluate() consults this gate before
         # touching the tool session, so infeasible bindings (null widths,
         # unboxable configurations) never cost a run.  A layer that
-        # dispatches to this evaluator installs its own gate here.
+        # checks points itself calls run() instead.
         self.gate = PreflightGate(self.module, boxed=boxed, clock_port=clock_port)
         self.part = part
         self.target_period_ns = float(target_period_ns)
@@ -125,7 +125,32 @@ class PointEvaluator:
     def evaluate(
         self, params: Mapping[str, int], fidelity: Fidelity | str | None = None
     ) -> EvaluatedPoint:
-        """Run one configuration through the flow.
+        """Check one configuration on :attr:`gate`, then :meth:`run` it.
+
+        A rejected point writes its ``outcome="drc"`` ledger row and
+        raises :class:`DrcViolationError`; the tool never sees it.
+        """
+        params = {k: int(v) for k, v in params.items()}
+        tel = current_telemetry()
+        t0 = time.perf_counter() if tel is not None else 0.0
+        try:
+            self.gate.raise_for_point(params)
+        except DrcViolationError as exc:
+            self.last_failure_seconds = 0.0
+            if tel is not None:
+                tel.ledger.append(
+                    params=params, outcome="drc", charge=0.0,
+                    error_type=type(exc).__name__,
+                    wall_s=time.perf_counter() - t0,
+                )
+            raise
+        return self.run(params, fidelity)
+
+    def run(
+        self, params: Mapping[str, int], fidelity: Fidelity | str | None = None
+    ) -> EvaluatedPoint:
+        """Run one configuration through the flow, unchecked: the caller
+        has checked it (:func:`repro.core.pipeline.consult`).
 
         ``fidelity`` (``step=IMPLEMENTATION`` only) selects a rung of the
         flow ladder: ``None``/``FULL_ROUTE`` renders the script and runs
@@ -146,17 +171,6 @@ class PointEvaluator:
             requested = fidelity or Fidelity.FULL_ROUTE
         tel = current_telemetry()
         t0 = time.perf_counter() if tel is not None else 0.0
-        try:
-            self.gate.raise_for_point(params)
-        except DrcViolationError as exc:
-            self.last_failure_seconds = 0.0
-            if tel is not None:
-                tel.ledger.append(
-                    params=params, outcome="drc", charge=0.0,
-                    error_type=type(exc).__name__,
-                    wall_s=time.perf_counter() - t0,
-                )
-            raise
         session = VivadoTclSession(sim=self.sim)
         if requested is Fidelity.STATIC_ESTIMATE:
             # The static rung's script carries no tool command, so the

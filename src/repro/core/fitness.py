@@ -119,8 +119,9 @@ class ApproximateFitness:
             refit_policy=self.refit_policy,
         )
         # The DRC pre-flight gate, asked before the control model sees a
-        # point and before dispatch.  It is also the evaluator's gate (and
-        # the pool's), so the evaluator's own check is a memo lookup.
+        # point and before dispatch.  It is also the pool's gate, and the
+        # evaluator's, which checks only the points a caller hands it
+        # directly (the fitness's own tool runs are already checked).
         self.drc_netlist = bool(drc_netlist)
         self.gate = PreflightGate(
             evaluator.module,

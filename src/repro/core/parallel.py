@@ -8,13 +8,15 @@ parameters, seed), so evaluating a batch across worker processes is
 content (not on generator state) is what makes this safe; see
 :mod:`repro.util.rng`.
 
-The evaluator is built for *reuse across batches*: the process pool starts
-lazily on the first multi-worker batch and then stays alive for the
-evaluator's lifetime, so each worker parses the evaluator spec and builds
-its :class:`~repro.core.evaluate.PointEvaluator` exactly once — per-worker
-tool caches stay warm across NSGA-II generations instead of being thrown
-away per batch.  Call :meth:`ParallelPointEvaluator.close` (or use the
-evaluator as a context manager) to shut the pool down.
+Every fan-out runs on one :class:`WorkerPool`, with one crash policy.
+A pool forks its workers when it is built, on the caller's thread: a
+:class:`ParallelPointEvaluator` builds its own on its first fan-out
+batch (a DSE session's, on the session's thread), and the serve fleet
+builds one before the server starts any thread.  Workers live as long
+as their pool, so per-worker tool caches stay warm across NSGA-II
+generations.  A pool that breaks (a worker killed mid-run) is replaced
+through a fork server, never by forking a process that may run
+threads, and the lost batch runs there once more; a second loss raises.
 
 A cross-batch memo table guarantees a configuration is never dispatched
 twice: repeats — within one batch or in a later generation — replay the
@@ -28,9 +30,7 @@ waits for all of it before returning.  Workers finish in any order, but
 their ledger records, spans and counters are merged — and their answers
 memoized — in first-occurrence order once every run is back, and
 results come back in request order, so the schedule is invisible in
-every output.  A batch whose pool breaks (a worker killed mid-run)
-raises and commits nothing, and the broken pool is dropped: the next
-call dispatches the same points afresh to a new pool.
+every output.  A batch that raises commits nothing.
 
 Before dispatch the parent runs each fresh configuration through the
 DRC gate and, when a persistent :class:`~repro.cache.ResultStore` is
@@ -39,14 +39,15 @@ attached, the store (a hit is adopted as a cache-priced answer, ledger
 after completion, so later *processes* — not just later batches —
 replay instead of re-running the tool.  The steps themselves live in
 :mod:`repro.core.pipeline`, shared with the serial fitness path and the
-serve fleet.
+serve fleet.  Workers trust that verdict: they run each point without
+a DRC check of their own.
 
 Every task names its picklable :class:`EvaluatorSpec`, and a worker
 builds one evaluator per spec on first use (:func:`run_point`, the one
-worker entry point, shared with the serve fleet's pool); built-in
-case-study designs are re-registered by name inside each worker so
-architectural models exist under ``spawn`` start methods too.  A worker
-exits when its parent process dies.
+worker entry point); built-in case-study designs are re-registered by
+name, so a replacement pool's workers, which start without the parent's
+state, have their architectural models too.  A worker exits when its
+parent process dies.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import InitVar, dataclass, field
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 from repro.analysis.gate import PreflightGate, freeze_params
 from repro.cache import ResultStore
@@ -83,7 +84,7 @@ __all__ = [
     "EvaluationFailure",
     "ParallelPointEvaluator",
     "RemoteEvaluationError",
-    "init_worker",
+    "WorkerPool",
     "run_point",
 ]
 
@@ -94,7 +95,6 @@ _EVALUATORS: OrderedDict[EvaluatorSpec, PointEvaluator] = OrderedDict()
 #: served worker runs points of many specs, each evaluator holding its
 #: parsed design and its tool session's caches.
 _MAX_EVALUATORS = 8
-_INIT_CALLS = 0
 
 
 def _watch_parent(parent: int) -> None:
@@ -109,10 +109,8 @@ def _watch_parent(parent: int) -> None:
     os._exit(1)
 
 
-def init_worker() -> None:
+def _init_worker() -> None:
     """Pool initializer: drop state a forked worker inherited."""
-    global _INIT_CALLS
-    _INIT_CALLS += 1
     _EVALUATORS.clear()
     # A forked worker holds a copy of the parent's bundle; each task
     # says whether to collect (see :func:`run_point`).
@@ -141,9 +139,10 @@ def run_point(
     """The worker entry point: one tool run and the telemetry it made.
 
     Whether to collect travels with the task, so a pool that outlives
-    one telemetry session follows the next.  The worker's evaluator for
-    ``spec`` checks the point on its own DRC gate and writes the run's
-    ledger row; the row comes back in the delta.
+    one telemetry session follows the next.  The point was checked by
+    the layer that dispatched it, so the worker's evaluator for ``spec``
+    runs it unchecked and writes the run's ledger row; the row comes
+    back in the delta.
     """
     tel = current_telemetry()
     if telemetry and tel is None:
@@ -157,19 +156,108 @@ def run_point(
     return result, tel.drain_delta() if tel is not None else None
 
 
-def _worker_probe(_: int) -> tuple[int, int]:
-    """Debug task: (pid, initializer-call count) for the executing worker."""
-    return os.getpid(), _INIT_CALLS
+class WorkerPool:
+    """Worker processes for tool runs, with one crash policy.
+
+    The ``workers`` processes are forked here, on the caller's thread,
+    so build a pool before starting any thread.  A pool that breaks is
+    replaced through a fork server (the ``serve.pool_restarts``
+    counter), and :meth:`run` runs a batch that lost a run there once
+    more.  Safe to share between threads; :meth:`close` stops the
+    workers.
+    """
+
+    def __init__(self, workers: int) -> None:
+        self.workers = workers
+        self._lock = threading.Lock()
+        self._closed = False
+        self._executor: ProcessPoolExecutor | None = self._start("fork")
+
+    def _start(self, method: str) -> ProcessPoolExecutor:
+        executor = ProcessPoolExecutor(
+            max_workers=self.workers,
+            mp_context=multiprocessing.get_context(method),
+            initializer=_init_worker,
+        )
+        # The first submit starts every worker at once (a forking pool
+        # starts them all), here on the caller's thread.
+        executor.submit(int)
+        return executor
+
+    def _current(self) -> ProcessPoolExecutor:
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("the worker pool is closed")
+            if self._executor is None:
+                # The caller may be running threads by now: start the
+                # replacement through a fork server, never by forking.
+                self._executor = self._start("forkserver")
+            return self._executor
+
+    def _discard(self, executor: ProcessPoolExecutor) -> None:
+        with self._lock:
+            if self._executor is not executor:
+                return  # another run already replaced it
+            self._executor = None
+        executor.shutdown(wait=False, cancel_futures=True)
+        tel = current_telemetry()
+        if tel is not None:
+            tel.counters.inc("serve.pool_restarts")
+
+    def _attempt(self, tasks: list[tuple]) -> list[tuple[Answer, dict | None]]:
+        executor = self._current()
+        try:
+            futures = [executor.submit(run_point, *task) for task in tasks]
+            return [future.result() for future in futures]
+        except BrokenProcessPool:
+            self._discard(executor)
+            raise
+
+    def run(
+        self, spec: EvaluatorSpec, points: Sequence[dict[str, int]], origin: str | None
+    ) -> list[Answer]:
+        """One tool run per point on the workers; answers in point order.
+
+        Once every run is back, each one's telemetry lands in this
+        process, in point order; ``origin`` (when not None) overrides
+        the origin of the ledger rows the workers wrote.  A batch that
+        loses a run to a broken pool runs again once on a fresh pool (a
+        tool run is a pure function of spec and point); a second loss
+        raises :class:`BrokenProcessPool`.
+        """
+        tel = current_telemetry()
+        tasks = [(spec, p, spec.emulate_tool_latency, tel is not None) for p in points]
+        try:
+            done = self._attempt(tasks)
+        except BrokenProcessPool:
+            done = self._attempt(tasks)
+        answers = []
+        for answer, delta in done:
+            if delta is not None and tel is not None:
+                tel.merge_delta(delta, origin=origin)
+            answers.append(answer)
+        return answers
+
+    def close(self) -> None:
+        """Stop the workers (idempotent); later runs raise."""
+        with self._lock:
+            self._closed = True
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True)
 
 
 @dataclass
 class ParallelPointEvaluator:
-    """Fan batches of configurations over a persistent process pool.
+    """Fan batches of configurations over a persistent worker pool.
 
-    With ``workers=0`` (or 1) batches run serially in-process — the
-    reference behaviour parallel runs must reproduce exactly.  The pool
-    (and the serial fallback evaluator) is created lazily and reused for
-    every subsequent batch; ``close()`` / ``with`` releases it.
+    With ``workers=0`` (or 1) and no ``pool``, batches run serially
+    in-process — the reference behaviour parallel runs must reproduce
+    exactly.  ``workers > 1`` forks a :class:`WorkerPool` of this
+    evaluator's own on the first batch with a point to dispatch; it is
+    reused for every later batch, and ``close()`` / ``with`` stops it.
+    ``pool`` hands over a pool the caller owns (the serve fleet's):
+    every fresh point runs there, and ``close()`` leaves it running.
 
     ``memo`` is the cross-batch memo table keyed on the frozen parameter
     binding: first occurrences are dispatched, repeats replay the stored
@@ -177,23 +265,28 @@ class ParallelPointEvaluator:
     persistent cross-process result store, consulted before dispatch and
     appended after every tool run (disabled for incremental specs, whose
     results are order-dependent; such a spec also refuses ``workers > 1``).
-    ``gate`` is the DRC pre-flight gate consulted before dispatch, and
-    the in-process evaluator checks with it; a fitness or a sweep hands
-    over its own, and without one a gate is built from the spec on first
-    use.  ``evaluator`` is the in-process evaluator (``workers <= 1``);
-    a caller hands over its own so no second one is built, and its gate
-    is the default ``gate``.  ``dispatched``/``memo_hits``/
-    ``store_hits`` count the split for perf reporting.
+    ``gate`` is the DRC pre-flight gate consulted before dispatch; a
+    fitness or a sweep hands over its own, and without one a gate is
+    built from the spec on first use.  ``evaluator`` is the in-process
+    evaluator (``workers <= 1``); a caller hands over its own so no
+    second one is built, and its gate is the default ``gate``.
+    ``dispatched``/``memo_hits``/``store_hits`` count the split for perf
+    reporting.
     """
+
+    #: The origin a worker's ledger rows take when they come home; None
+    #: keeps the one the worker's evaluator wrote.
+    worker_origin: ClassVar[str | None] = "worker"
 
     spec: EvaluatorSpec
     workers: int = 0
-    start_method: str | None = None
+    pool: InitVar[WorkerPool | None] = None
     store: ResultStore | None = None
     gate: PreflightGate | None = None
     evaluator: InitVar[PointEvaluator | None] = None
     _serial: PointEvaluator | None = field(default=None, init=False, repr=False)
-    _pool: ProcessPoolExecutor | None = field(default=None, init=False, repr=False)
+    _pool: WorkerPool | None = field(default=None, init=False, repr=False)
+    _owns_pool: bool = field(default=True, init=False, repr=False)
     memo: dict[tuple, Answer] = field(default_factory=dict, init=False, repr=False)
     dispatched: int = field(default=0, init=False)
     memo_hits: int = field(default=0, init=False)
@@ -202,7 +295,9 @@ class ParallelPointEvaluator:
     store_puts: int = field(default=0, init=False)
     _point_store: PointStore = field(init=False, repr=False)
 
-    def __post_init__(self, evaluator: PointEvaluator | None) -> None:
+    def __post_init__(
+        self, pool: WorkerPool | None, evaluator: PointEvaluator | None
+    ) -> None:
         if self.spec.incremental and self.workers > 1:
             raise ValueError(
                 "incremental specs cannot fan out over worker processes: "
@@ -210,30 +305,18 @@ class ParallelPointEvaluator:
                 "so results would depend on which worker ran which point"
             )
         self._point_store = PointStore(self.store, self.spec)
+        if pool is not None:
+            self._pool, self._owns_pool = pool, False
         self._serial = evaluator
         if evaluator is not None and self.gate is None:
             self.gate = evaluator.gate
 
     # -- lifecycle ------------------------------------------------------
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            context = (
-                multiprocessing.get_context(self.start_method)
-                if self.start_method
-                else None
-            )
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=context,
-                initializer=init_worker,
-            )
-        return self._pool
-
     def close(self) -> None:
-        """Shut down the worker pool (idempotent; memo table survives)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
+        """Stop this evaluator's own workers (idempotent; memo survives)."""
+        if self._owns_pool and self._pool is not None:
+            self._pool.close()
             self._pool = None
 
     def __enter__(self) -> "ParallelPointEvaluator":
@@ -241,13 +324,6 @@ class ParallelPointEvaluator:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            if self._pool is not None:
-                self._pool.shutdown(wait=False)
-        except Exception:
-            pass
 
     # -- the shared resolution steps --------------------------------------
 
@@ -265,14 +341,6 @@ class ParallelPointEvaluator:
                 matches[0], boxed=self.spec.boxed, clock_port=self.spec.clock_port
             )
         return self.gate
-
-    def _tool_evaluator(self) -> PointEvaluator:
-        """The in-process evaluator (built once unless handed over),
-        checking with this gate."""
-        if self._serial is None:
-            self._serial = self.spec.build()
-            self._serial.gate = self._preflight()
-        return self._serial
 
     def _pre_dispatch(
         self, key: tuple, params: dict[str, int]
@@ -301,6 +369,23 @@ class ParallelPointEvaluator:
         self.store_hits += 1
         return answer, "store"
 
+    def _run(self, points: list[dict[str, int]]) -> list[Answer]:
+        """Tool answers for checked points: on the workers, or in-process.
+
+        All of them come back before the caller commits any, so a batch
+        whose pool breaks twice raises and leaves no trace.
+        """
+        if self._pool is None and self.workers > 1:
+            self._pool = WorkerPool(self.workers)
+        if self._pool is not None:
+            return self._pool.run(self.spec, points, self.worker_origin)
+        if self._serial is None:
+            self._serial = self.spec.build()
+        # The in-process evaluator records its own ledger rows (it sees
+        # the parent's telemetry bundle).
+        latency = self.spec.emulate_tool_latency
+        return [run_tool(self._serial, p, latency=latency) for p in points]
+
     def _commit(self, key: tuple, params: dict[str, int], result: Answer) -> None:
         """Memoize a tool answer and append it to the persistent store."""
         self.memo[key] = result
@@ -318,9 +403,9 @@ class ParallelPointEvaluator:
 
         Each configuration the memo does not hold goes once through
         :meth:`_pre_dispatch` in the parent; the ones left to dispatch
-        run on the pool (or inline when ``workers <= 1``) and are
-        committed in first-occurrence order.  Results come back in
-        request order, repeats replayed from the memo.
+        run through :meth:`_run` and are committed in first-occurrence
+        order.  Results come back in request order, repeats replayed
+        from the memo.
 
         ``on_error="raise"`` re-raises the first worker-side
         :class:`ReproError` (as a :class:`RemoteEvaluationError`);
@@ -340,35 +425,9 @@ class ParallelPointEvaluator:
             if self._pre_dispatch(key, p) is None:
                 fresh[key] = p
 
-        if fresh and self.workers <= 1:
-            for key, params in fresh.items():
-                # The in-process evaluator records its own ledger entries
-                # (it sees the parent's telemetry bundle).
-                result = run_tool(
-                    self._tool_evaluator(), params, latency=self.spec.emulate_tool_latency
-                )
-                self._commit(key, params, result)
-        elif fresh:
-            pool = self._ensure_pool()
-            tel = current_telemetry()
-            latency = self.spec.emulate_tool_latency
-            futures = [
-                pool.submit(run_point, self.spec, p, latency, tel is not None)
-                for p in fresh.values()
-            ]
-            # Every run must come back before any is committed: a broken
-            # pool raises here and leaves no trace of the batch.
-            try:
-                answers = [future.result() for future in futures]
-            except BrokenProcessPool:
-                # A dead worker breaks the executor for good; drop it so
-                # the next call starts a fresh pool.
-                pool.shutdown(wait=True, cancel_futures=True)
-                self._pool = None
-                raise
-            for (key, params), (result, delta) in zip(fresh.items(), answers):
-                if delta is not None and tel is not None:
-                    tel.merge_delta(delta, origin="worker")
+        if fresh:
+            results = self._run(list(fresh.values()))
+            for (key, params), result in zip(fresh.items(), results):
                 self._commit(key, params, result)
 
         def in_request_order():
@@ -380,19 +439,3 @@ class ParallelPointEvaluator:
                 yield result
 
         return finish(in_request_order())
-
-    # -- introspection --------------------------------------------------
-
-    def worker_probes(self, samples: int | None = None) -> list[tuple[int, int]]:
-        """(pid, initializer-call count) reported by pool workers.
-
-        Dispatches ``samples`` probe tasks (default ``4 × workers``, with
-        a floor of 4 so even one-worker pools get several probes); task
-        placement is up to the pool, so probes may not cover every worker,
-        but any worker that answers reports how often it was initialized.
-        Returns an empty list when no pool has been started.
-        """
-        if self._pool is None:
-            return []
-        n = samples if samples is not None else max(4, self.workers * 4)
-        return list(self._pool.map(_worker_probe, range(n)))

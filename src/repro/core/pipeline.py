@@ -14,8 +14,8 @@ here:
 - :func:`drc_failure` answers a DRC pre-flight rejection, tool-free.
 - :func:`consult` is the DRC verdict, then the store lookup/adopt: an
   answer without the tool, or None to run it.
-- :func:`run_tool` calls the tool and turns a :class:`ReproError` into
-  an :class:`EvaluationFailure` carrying the failed run's charge.
+- :func:`run_tool` runs a checked point and turns a :class:`ReproError`
+  into an :class:`EvaluationFailure` carrying the failed run's charge.
 - :func:`replay` answers a known result at zero charge and writes its
   ledger row; the ``origin`` names who answered it (``"memo"``,
   ``"coalesced"``, ``"gate"``, ``"store"``, or a DRC gate's layer).
@@ -26,9 +26,9 @@ is the fitness's one tool path.  The pool's are
 :meth:`ParallelPointEvaluator._pre_dispatch` (memo, then consult) and
 :meth:`ParallelPointEvaluator._commit` (memo and store append), which a
 serve fleet member inherits.  This module imports no process pool, so
-the serial path pays nothing for it.  The layer that consults a point
-holds the DRC gate of every evaluator it runs in-process, so that
-evaluator's own check is a memo hit (pool workers check again).
+the serial path pays nothing for it.  Every caller consults a point
+before it runs the tool, so :func:`run_tool` skips the evaluator's own
+DRC check, in-process and in pool workers alike.
 """
 
 from __future__ import annotations
@@ -264,7 +264,8 @@ def run_tool(
 ) -> Answer:
     """One tool call; a :class:`ReproError` comes back as a failure.
 
-    The evaluator writes the run's own ledger row.  ``latency`` > 0
+    The caller has consulted the point, so the evaluator runs it
+    unchecked and writes the run's own ledger row.  ``latency`` > 0
     sleeps that many wall seconds per simulated second the call charged,
     emulating a real tool invocation: partial flows (stage-cache hits,
     low-fidelity probes) wait only for the stages they ran, and cache
@@ -272,7 +273,7 @@ def run_tool(
     """
     result: Answer
     try:
-        result = evaluator.evaluate(params, fidelity=fidelity)
+        result = evaluator.run(params, fidelity=fidelity)
     except ReproError as exc:
         result = EvaluationFailure(
             type(exc).__name__,

@@ -8,18 +8,19 @@ persistent-store binding, so the *first* tenant to evaluate a
 configuration pays for it and every later tenant replays it as a cache
 answer.
 
-Every tool run goes to the fleet's one worker pool, shared by all
-members: ``workers`` processes (the server passes its ``capacity``), so
-distinct configurations run on as many cores, outside the server's
-GIL.  A worker keeps one evaluator per spec
-(:func:`~repro.core.parallel.run_point`), checks each point on that
-evaluator's own DRC gate, and ships the run's ledger rows, spans and
-counters back with its answer.  The pool is forked when the fleet is
-built, so a server builds its fleet before it starts any thread; a
-pool that breaks (a worker killed mid-run) is replaced by one started
-through a fork server, never forked from the threaded server, and the
-runs it lost are retried there once.  Workers exit when the server
-process dies.
+Every tool run goes to the fleet's one
+:class:`~repro.core.parallel.WorkerPool`, shared by all members:
+``workers`` processes (the server passes its ``capacity``), so distinct
+configurations run on as many cores, outside the server's GIL.  A
+worker keeps one evaluator per spec
+(:func:`~repro.core.parallel.run_point`), runs each point without a
+DRC check of its own (the member checked it), and ships the run's
+ledger rows, spans and counters back with its answer.  The pool is
+forked when the fleet is built, so a server builds its fleet before it
+starts any thread; it has the one crash policy of every pool (see
+:mod:`repro.core.parallel`): a broken pool is replaced through a fork
+server, never forked from the threaded server, and the runs it lost
+are retried there once.  Workers exit when the server process dies.
 
 Members are :class:`_ConcurrentMember` evaluators: the memo, DRC gate,
 store handle and counters live behind a short-critical-section
@@ -42,10 +43,8 @@ round-robin interleaves *points*, not whole batches.
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import Future
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.analysis.gate import freeze_params
@@ -53,10 +52,9 @@ from repro.core.parallel import (
     EvaluationFailure,
     EvaluatorSpec,
     ParallelPointEvaluator,
-    init_worker,
-    run_point,
+    WorkerPool,
 )
-from repro.core.pipeline import Answer, replay, settle
+from repro.core.pipeline import replay, settle
 from repro.observe import current_telemetry
 from repro.serve.scheduler import FairScheduler
 
@@ -69,88 +67,16 @@ def _count(name: str, value: float = 1) -> None:
         tel.counters.add(name, value)
 
 
-class _ToolPool:
-    """The fleet's worker processes: where every served tool run happens."""
-
-    def __init__(self, workers: int) -> None:
-        self.workers = workers
-        self._lock = threading.Lock()
-        self._closed = False
-        self._executor: ProcessPoolExecutor | None = self._start("fork")
-
-    def _start(self, method: str) -> ProcessPoolExecutor:
-        executor = ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=multiprocessing.get_context(method),
-            initializer=init_worker,
-        )
-        # The first submit starts every worker at once (a forking pool
-        # starts them all), here on the caller's thread.
-        executor.submit(int)
-        return executor
-
-    def _current(self) -> ProcessPoolExecutor:
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("the fleet's worker pool is closed")
-            if self._executor is None:
-                # The server is threaded by now: start the pool through
-                # a fork server, never by forking the server.
-                self._executor = self._start("forkserver")
-            return self._executor
-
-    def _discard(self, executor: ProcessPoolExecutor) -> None:
-        with self._lock:
-            if self._executor is not executor:
-                return  # another run already replaced it
-            self._executor = None
-        executor.shutdown(wait=False, cancel_futures=True)
-        _count("serve.pool_restarts")
-
-    def _submit(self, task: tuple) -> tuple[Answer, dict | None]:
-        executor = self._current()
-        try:
-            return executor.submit(*task).result()
-        except BrokenProcessPool:
-            self._discard(executor)
-            raise
-
-    def run(self, spec: EvaluatorSpec, params: dict[str, int]) -> Answer:
-        """One tool run on a worker; its telemetry lands in this process.
-
-        A run lost to a broken pool is retried once on a fresh pool (a
-        tool run is a pure function of spec and point); a second loss
-        raises :class:`BrokenProcessPool` to the caller.
-        """
-        tel = current_telemetry()
-        task = (run_point, spec, params, spec.emulate_tool_latency, tel is not None)
-        try:
-            result, delta = self._submit(task)
-        except BrokenProcessPool:
-            result, delta = self._submit(task)
-        if delta is not None and tel is not None:
-            # Each record keeps the origin its evaluator gave it.
-            tel.merge_delta(delta, origin=None)
-        return result
-
-    def close(self) -> None:
-        """Stop the workers (idempotent); later runs raise."""
-        with self._lock:
-            self._closed = True
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
-
-
 class _ConcurrentMember(ParallelPointEvaluator):
     """A fleet member whose point evaluations may run on many threads.
 
-    Inherits the pre-dispatch (memo → DRC gate → store) and commit steps
-    of :class:`~repro.core.parallel.ParallelPointEvaluator`; what changes
-    is the concurrency contract.  :meth:`evaluate_point` runs both steps
-    under the state lock and the tool run between them without it, on
-    the fleet's worker pool, so distinct configurations evaluate in
-    parallel while the shared state stays single-writer.
+    A :class:`~repro.core.parallel.ParallelPointEvaluator` over the
+    fleet's worker pool, with a state lock: :meth:`evaluate_point` runs
+    the pre-dispatch (memo → DRC gate → store) and commit steps under
+    the lock and the tool run between them without it, so distinct
+    configurations evaluate in parallel while the shared state stays
+    single-writer.  A worker's ledger rows keep the origin its evaluator
+    gave them, so a served session's ledger reads as a standalone one's.
 
     Identical configurations must not race through the fresh path — the
     caller (the scheduler's single-flight table, keyed on exactly this
@@ -158,14 +84,13 @@ class _ConcurrentMember(ParallelPointEvaluator):
     key.
     """
 
-    def __init__(
-        self, spec: EvaluatorSpec, tools: _ToolPool, store: Any = None
-    ) -> None:
-        super().__init__(spec=spec, workers=0, store=store)
+    worker_origin = None
+
+    def __init__(self, spec: EvaluatorSpec, pool: WorkerPool, store: Any = None) -> None:
+        super().__init__(spec=spec, pool=pool, store=store)
         # Guards memo/counters/gate/identity caches and the store handle.
         # Held only for bookkeeping — never across a tool run.
         self._state_lock = threading.Lock()
-        self._tools = tools
 
     def evaluate_point(
         self, params: dict[str, int]
@@ -184,7 +109,7 @@ class _ConcurrentMember(ParallelPointEvaluator):
             return answer
         # The tool run happens outside the lock, on a worker process:
         # parallelism across distinct configurations is the whole point.
-        result = self._tools.run(self.spec, params)
+        (result,) = self._run([params])
         with self._state_lock:
             self._commit(key, params, result)
         return result, "tool"
@@ -205,7 +130,7 @@ class EvaluatorFleet:
         self.shards = shards
         self._lock = threading.Lock()
         self._members: dict[EvaluatorSpec, _ConcurrentMember] = {}
-        self._tools = _ToolPool(workers)
+        self._tools = WorkerPool(workers)
 
     def _member(self, spec: EvaluatorSpec) -> _ConcurrentMember:
         with self._lock:

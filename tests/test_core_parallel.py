@@ -115,30 +115,23 @@ class TestParallelPath:
 
 
 class TestPersistentPool:
-    """The pool must survive across batches: one initializer call per
-    worker per evaluator lifetime, never one pool per batch."""
+    """The pool must survive across batches: the same workers serve
+    every batch of an evaluator, never one pool per batch."""
 
-    def test_one_initializer_call_per_worker(self):
+    def test_same_workers_serve_every_batch(self):
         with ParallelPointEvaluator(spec=_spec(), workers=2) as pool:
             pool.evaluate_many(BATCH[:2])
-            first_pool = pool._pool
-            assert first_pool is not None
+            workers = pool._pool
+            assert workers is not None
+            pids = set(workers._executor._processes)
             pool.evaluate_many(BATCH[2:])
-            assert pool._pool is first_pool
-
-            probes = pool.worker_probes()
-            assert probes, "live pool must answer probes"
-            pids = {pid for pid, _ in probes}
-            assert len(pids) <= 2
-            assert all(calls == 1 for _, calls in probes), (
-                "worker initializer ran more than once per worker: "
-                f"{probes}"
-            )
+            assert pool._pool is workers
+            assert set(workers._executor._processes) == pids
+            assert len(pids) == 2
 
     def test_pool_is_lazy_and_close_idempotent(self):
         pool = ParallelPointEvaluator(spec=_spec(), workers=2)
         assert pool._pool is None
-        assert pool.worker_probes() == []
         pool.evaluate_many(BATCH[:1])
         assert pool._pool is not None
         pool.close()
@@ -195,109 +188,126 @@ class TestFailurePropagation:
         assert err.value.original_type == "UtilizationOverflowError"
 
 
-class TestSpawnEquivalence:
-    """Bitwise parity under the spawn start method (no inherited state):
-    workers must rebuild the evaluator — including a built-in design's
-    architectural model via ``design_name`` re-registration — and still
-    reproduce the serial evaluator exactly."""
+def _kill_workers(pool: ParallelPointEvaluator, after=None, delay: float = 0.0):
+    """SIGKILL every worker of ``pool``'s current executor once it has
+    two (and is not ``after``), ``delay`` seconds after they exist;
+    returns the executor whose workers died, or None when no such
+    executor shows up within 60 s."""
+    import os
+    import signal
+    import time
 
-    # BATCH plus a duplicate of its first point, split across the batch:
-    # the repeat must come back as a free cache hit in both paths.
-    _WITH_DUP = [*BATCH, dict(BATCH[0])]
+    def current():
+        return None if pool._pool is None else pool._pool._executor
 
-    def test_spawn_bitwise_equals_serial(self):
-        serial = ParallelPointEvaluator(spec=_spec(), workers=0)
-        ref = serial.evaluate_many(self._WITH_DUP)
-        with ParallelPointEvaluator(
-            spec=_spec(), workers=2, start_method="spawn"
-        ) as pool:
-            out = pool.evaluate_many(self._WITH_DUP)
+    deadline = time.monotonic() + 60.0
+    while current() is None or current() is after or len(current()._processes) < 2:
+        if time.monotonic() > deadline:
+            return None
+        time.sleep(0.01)
+    executor = current()
+    time.sleep(delay)
+    for pid in list(executor._processes):
+        os.kill(pid, signal.SIGKILL)
+    return executor
+
+
+class TestReplacementPool:
+    """A pool replaced after its workers died starts them through a fork
+    server, without the parent's state: each worker rebuilds the
+    evaluator — a built-in VHDL design's architectural model included,
+    re-registered through ``design_name`` — and reproduces the serial
+    evaluator exactly."""
+
+    def test_forkserver_pool_registers_builtin_designs(self):
+        spec = _spec(
+            design_name="neorv32",
+            metrics=(("BRAM", "min"), ("frequency", "max")),
+        )
+        # Two fresh points and a repeat of the first: the repeat comes
+        # back as a free cache hit in both paths.
+        points = [
+            {"MEM_INT_IMEM_SIZE": 2**13, "MEM_INT_DMEM_SIZE": 2**12},
+            {"MEM_INT_IMEM_SIZE": 2**14, "MEM_INT_DMEM_SIZE": 2**12},
+            {"MEM_INT_IMEM_SIZE": 2**13, "MEM_INT_DMEM_SIZE": 2**12},
+        ]
+        ref = ParallelPointEvaluator(spec=spec, workers=0).evaluate_many(points)
+        with ParallelPointEvaluator(spec=spec, workers=2) as pool:
+            pool.evaluate_many([{"MEM_INT_IMEM_SIZE": 2**12, "MEM_INT_DMEM_SIZE": 2**12}])
+            forked = _kill_workers(pool)
+            out = pool.evaluate_many(points)
+            replacement = pool._pool._executor
+        assert replacement is not forked
+        assert replacement._mp_context.get_start_method() == "forkserver"
         for s, p in zip(ref, out):
             assert s.parameters == p.parameters
             assert s.metrics == p.metrics
             assert s.source == p.source
             assert s.simulated_seconds == p.simulated_seconds
+        assert out[0].metrics["BRAM"] < out[1].metrics["BRAM"]
         assert out[-1].source == "cache"
         assert out[-1].simulated_seconds == 0.0
 
-    def test_spawn_vhdl_builtin_design(self):
-        spec = _spec(
-            design_name="neorv32",
-            metrics=(("BRAM", "min"), ("frequency", "max")),
-        )
-        points = [{"MEM_INT_IMEM_SIZE": 2**13}, {"MEM_INT_IMEM_SIZE": 2**14}]
-        ref = ParallelPointEvaluator(spec=spec, workers=0).evaluate_many(points)
-        with ParallelPointEvaluator(
-            spec=spec, workers=2, start_method="spawn"
-        ) as pool:
-            out = pool.evaluate_many(points)
-        for s, p in zip(ref, out):
-            assert s.metrics == p.metrics
-
 
 class TestBrokenPool:
+    """One crash policy: a batch that loses runs to workers SIGKILLed
+    mid-batch runs again once on a replacement pool; a second loss
+    raises."""
+
     POINTS = [{"DEPTH": 4}, {"DEPTH": 8}, {"DEPTH": 16}, {"DEPTH": 32}]
 
-    def _kill_mid_batch(self):
-        """A pool whose first batch lost both workers to SIGKILL, and the
-        serial reference for :attr:`POINTS`."""
+    def _pool_and_reference(self):
+        """A two-worker evaluator whose runs take ~1.1 s of emulated
+        latency, so a kill 0.3 s after the workers exist lands mid-run,
+        and the serial reference for :attr:`POINTS`."""
         import dataclasses
-        import os
-        import signal
-        import threading
-        import time
-        from concurrent.futures.process import BrokenProcessPool
 
         spec = _spec(design_name="cv32e40p-fifo")
         ref = ParallelPointEvaluator(spec=spec, workers=0).evaluate_many(self.POINTS)
-        # ~1.1 s of emulated latency per run: no run can finish before
-        # the kill lands 0.3 s after both workers exist.
         slow = dataclasses.replace(spec, emulate_tool_latency=0.01)
-        pool = ParallelPointEvaluator(spec=slow, workers=2)
+        return ParallelPointEvaluator(spec=slow, workers=2), ref
 
-        def kill_workers():
-            while pool._pool is None or len(pool._pool._processes) < 2:
-                time.sleep(0.01)
-            time.sleep(0.3)
-            for pid in list(pool._pool._processes):
-                os.kill(pid, signal.SIGKILL)
+    def _batch_while(self, pool, kill):
+        import threading
 
-        killer = threading.Thread(target=kill_workers)
+        killer = threading.Thread(target=kill)
         killer.start()
         try:
-            with pytest.raises(BrokenProcessPool):
-                pool.evaluate_many(self.POINTS)
+            return pool.evaluate_many(self.POINTS)
         finally:
             killer.join()
-        return pool, ref
-
-    def test_killed_worker_does_not_poison_the_evaluator(self):
-        """A worker killed mid-batch fails that batch only: after
-        ``close()`` the same points run on a fresh pool and equal the
-        serial reference."""
-        pool, ref = self._kill_mid_batch()
-        with pool:
-            pool.close()
-            out = pool.evaluate_many(self.POINTS)
-        assert out == ref
 
     def test_broken_pool_is_replaced_without_close(self):
-        """The next call after a broken batch runs on a fresh pool even
-        though nobody called ``close()``, as in a DSE session."""
-        pool, ref = self._kill_mid_batch()
+        """Workers killed mid-batch cost the batch nothing: the lost runs
+        are retried on a replacement pool, and the batch returns the
+        serial answers with the ``origin="worker"`` ledger rows."""
+        from repro.observe import telemetry_session
+
+        pool, ref = self._pool_and_reference()
+        with pool, telemetry_session() as tel:
+            out = self._batch_while(pool, lambda: _kill_workers(pool, delay=0.3))
+        assert out == ref
+        assert tel.counters.get("serve.pool_restarts") == 1
+        rows = [(r.origin, r.outcome) for r in tel.ledger.records]
+        assert rows == [("worker", "tool")] * len(self.POINTS)
+
+    def test_killed_worker_does_not_poison_the_evaluator(self):
+        """A second loss raises and commits nothing; the next batch runs
+        on a fresh pool and equals the serial reference."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        pool, ref = self._pool_and_reference()
+
+        def kill_twice():
+            forked = _kill_workers(pool, delay=0.3)
+            _kill_workers(pool, after=forked, delay=0.3)
+
         with pool:
+            with pytest.raises(BrokenProcessPool):
+                self._batch_while(pool, kill_twice)
+            assert pool.memo == {} and pool.store_puts == 0
             out = pool.evaluate_many(self.POINTS)
         assert out == ref
-
-
-class TestWorkerProbeFloor:
-    def test_probe_count_floor_is_four(self):
-        """Even a one-worker pool dispatches several probes (4 × workers,
-        floored at 4)."""
-        with ParallelPointEvaluator(spec=_spec(), workers=2) as pool:
-            pool.evaluate_many(BATCH[:1])
-            assert len(pool.worker_probes()) == max(4, 2 * 4)
-            assert len(pool.worker_probes(samples=3)) == 3
 
 
 class TestFailureReplayEconomics:

@@ -6,7 +6,9 @@ own check is a memo lookup.  These tests count
 :meth:`DesignRuleChecker.check_point` calls on three stacks (a serial
 fitness, a sweep over a result store, a session bound to a serve fleet)
 and require one call per distinct point (143, 12 and 36 calls while the
-evaluator kept a gate of its own).  A verdict no longer depends on
+evaluator kept a gate of its own).  Pool workers run the points they
+are sent without checking them again: a fourth test logs the calls of
+every process (90 worker-side calls while workers re-checked).  A verdict no longer depends on
 the space, so they also pin what that changes and what it does not: P003
 stays a checker rule that never fires on a decoded point, and an
 out-of-space binding evaluated through a session still reaches the tool.
@@ -15,6 +17,7 @@ out-of-space binding evaluated through a session still reaches the tool.
 from __future__ import annotations
 
 import functools
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -77,6 +80,30 @@ def test_sweep_over_a_store_checks_each_point_once(tmp_path):
         )
     memo = evaluator.gate.stats()["drc_memo_size"]
     assert len(calls) == len(set(calls)) == memo == len(result) == 6
+
+
+def test_pool_workers_trust_the_parent_verdict(tmp_path):
+    """``workers=2`` sessions: the parent checks each distinct point
+    once, and the workers, forked with the patch in place, check none."""
+    log = tmp_path / "calls"
+
+    def spy(self, *args, **kwargs):
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()}\n")
+        return _check_point(self, *args, **kwargs)
+
+    distinct = 0
+    with mock.patch.object(DesignRuleChecker, "check_point", spy):
+        for name in ("corundum-cqm", "cv32e40p-fifo", "tirex"):
+            with DseSession(
+                get_design(name), seed=7, use_model=False, workers=2
+            ) as session:
+                session.explore(3, 8, pretrain=False)
+            distinct += session.fitness.gate.stats()["drc_memo_size"]
+    pids = log.read_text().split()
+    parent = [pid for pid in pids if pid == str(os.getpid())]
+    assert len(pids) - len(parent) == 0
+    assert len(parent) == distinct == 90
 
 
 def test_fleet_member_checks_each_point_once():

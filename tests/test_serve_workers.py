@@ -6,7 +6,8 @@ These tests pin their lifecycle from outside a real server process:
 - a graceful stop (the ``STOP`` file) leaves no child process behind;
 - a SIGKILLed server's workers exit on their own within 5 s;
 - a Ctrl-C to the server's process group drains the running job: the
-  workers leave the interrupt to the server;
+  workers leave the interrupt to the server, and ``dovado-repro serve``
+  reports the drain and exits 0;
 - a worker SIGKILLed mid-job costs nothing: the job finishes with the
   front an unkilled run gives, later jobs are served on a replacement
   pool, and the server still drains;
@@ -206,6 +207,42 @@ def test_ctrl_c_drains_the_running_job(server_factory):
         lambda: not any(_alive(pid) for pid in server.workers), 5.0,
         "the workers to exit",
     )
+
+
+def test_cli_ctrl_c_drains_and_reports(tmp_path):
+    """Ctrl-C to ``dovado-repro serve`` is a stop: the running job ends
+    ``done``, the server prints its ``drained:`` line and exits 0."""
+    root = tmp_path / "svc"
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.core.cli", "serve", "--root", str(root),
+         "--capacity", "1", "--poll-interval", "0.05"],
+        cwd=REPO, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True,
+    )
+    try:
+        assert proc.stdout is not None
+        assert proc.stdout.readline().startswith("serving from")
+        queue = FileJobQueue(root / "queue")
+        job_id = queue.submit(JobSpec(
+            design="cv32e40p-fifo", seed=5, generations=60, population=24,
+        )).job_id
+        _wait_for(
+            lambda: queue.get(job_id).state == JobState.RUNNING, 60.0, "the claim"
+        )
+        time.sleep(1.0)  # the session is built; a run is in flight
+        assert queue.get(job_id).state == JobState.RUNNING
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=120)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate(timeout=10)
+    assert proc.returncode == 0, err
+    assert "drained: done=1 failed=0 cancelled=0" in out
+    assert "KeyboardInterrupt" not in err
+    job = queue.get(job_id)
+    assert job.state == JobState.DONE, job.error
 
 
 def test_killed_worker_mid_job_is_replaced(server_factory):
