@@ -212,28 +212,20 @@ def _kill_workers(pool: ParallelPointEvaluator, after=None, delay: float = 0.0):
     return executor
 
 
-class TestReplacementPool:
-    """A pool replaced after its workers died starts them through a fork
-    server, without the parent's state: each worker rebuilds the
-    evaluator — a built-in VHDL design's architectural model included,
-    re-registered through ``design_name`` — and reproduces the serial
-    evaluator exactly."""
+class TestSpawnEquivalence:
+    """Bitwise parity on workers started without the parent's state: a
+    pool replaced after its workers died starts them through a fork
+    server, so each worker rebuilds the evaluator — a built-in design's
+    architectural model included, re-registered through ``design_name``
+    — and must still reproduce the serial evaluator exactly."""
 
-    def test_forkserver_pool_registers_builtin_designs(self):
-        spec = _spec(
-            design_name="neorv32",
-            metrics=(("BRAM", "min"), ("frequency", "max")),
-        )
-        # Two fresh points and a repeat of the first: the repeat comes
-        # back as a free cache hit in both paths.
-        points = [
-            {"MEM_INT_IMEM_SIZE": 2**13, "MEM_INT_DMEM_SIZE": 2**12},
-            {"MEM_INT_IMEM_SIZE": 2**14, "MEM_INT_DMEM_SIZE": 2**12},
-            {"MEM_INT_IMEM_SIZE": 2**13, "MEM_INT_DMEM_SIZE": 2**12},
-        ]
+    @staticmethod
+    def _check_replacement_equals_serial(spec, warmup, points):
+        """Kill the forked workers of a pool that ran ``warmup``, then
+        compare its answers for ``points`` with the serial path's."""
         ref = ParallelPointEvaluator(spec=spec, workers=0).evaluate_many(points)
         with ParallelPointEvaluator(spec=spec, workers=2) as pool:
-            pool.evaluate_many([{"MEM_INT_IMEM_SIZE": 2**12, "MEM_INT_DMEM_SIZE": 2**12}])
+            pool.evaluate_many([warmup])
             forked = _kill_workers(pool)
             out = pool.evaluate_many(points)
             replacement = pool._pool._executor
@@ -244,9 +236,34 @@ class TestReplacementPool:
             assert s.metrics == p.metrics
             assert s.source == p.source
             assert s.simulated_seconds == p.simulated_seconds
-        assert out[0].metrics["BRAM"] < out[1].metrics["BRAM"]
+        # The repeat of the first point comes back as a free cache hit
+        # in both paths.
         assert out[-1].source == "cache"
         assert out[-1].simulated_seconds == 0.0
+        return out
+
+    def test_spawn_bitwise_equals_serial(self):
+        self._check_replacement_equals_serial(
+            _spec(),
+            {"OP_TABLE_SIZE": 40, "PIPELINE": 2},
+            [*BATCH, dict(BATCH[0])],
+        )
+
+    def test_spawn_vhdl_builtin_design(self):
+        spec = _spec(
+            design_name="neorv32",
+            metrics=(("BRAM", "min"), ("frequency", "max")),
+        )
+        out = self._check_replacement_equals_serial(
+            spec,
+            {"MEM_INT_IMEM_SIZE": 2**12, "MEM_INT_DMEM_SIZE": 2**12},
+            [
+                {"MEM_INT_IMEM_SIZE": 2**13, "MEM_INT_DMEM_SIZE": 2**12},
+                {"MEM_INT_IMEM_SIZE": 2**14, "MEM_INT_DMEM_SIZE": 2**12},
+                {"MEM_INT_IMEM_SIZE": 2**13, "MEM_INT_DMEM_SIZE": 2**12},
+            ],
+        )
+        assert out[0].metrics["BRAM"] < out[1].metrics["BRAM"]
 
 
 class TestBrokenPool:
