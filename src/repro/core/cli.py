@@ -351,6 +351,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _InputError(ReproError):
+    """An input file or design name the command could not load."""
+
+
+def _input_text(path: str) -> str:
+    """The text of an input file; a file that cannot be read is an _InputError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise _InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise _InputError(f"cannot read {path}: not UTF-8 text") from None
+
+
+def _design(name: str):
+    """The built-in design ``name``; an unknown name is an _InputError."""
+    try:
+        return get_design(name)
+    except KeyError as exc:
+        raise _InputError(exc.args[0]) from None
+
+
+def _queue(root: str):
+    """The job queue of an existing service root, creating nothing."""
+    from repro.serve import FileJobQueue
+
+    path = Path(root) / "queue"
+    if not path.is_dir():
+        raise ReproError(f"no job queue under {root}")
+    return FileJobQueue(path)
+
+
 def _make_session(args: argparse.Namespace, need_space: bool) -> DseSession:
     from repro.flow.vivado_sim import FlowStep
 
@@ -371,10 +403,10 @@ def _make_session(args: argparse.Namespace, need_space: bool) -> DseSession:
         drc_netlist=getattr(args, "drc_netlist", False),
     )
     if args.design:
-        return DseSession(design=get_design(args.design), **common)
+        return DseSession(design=_design(args.design), **common)
     if not args.source or not args.top:
         raise SystemExit("either --design or (--source and --top) is required")
-    source = Path(args.source).read_text(encoding="utf-8")
+    source = _input_text(args.source)
     from repro.hdl.frontend import detect_language
 
     language = str(detect_language(args.source, source))
@@ -458,7 +490,7 @@ def _lint(args: argparse.Namespace) -> int:
         root = Path(args.sources[0]) if args.sources else None
         result = checker.check_python(collect_py_sources(root))
     elif args.design:
-        gen = get_design(args.design)
+        gen = _design(args.design)
         source = gen.source()
         from repro.hdl.frontend import parse_source
 
@@ -485,7 +517,7 @@ def _lint(args: argparse.Namespace) -> int:
         texts: list[tuple[str, str]] = []
         all_modules = []
         for path in args.sources:
-            text = Path(path).read_text(encoding="utf-8")
+            text = _input_text(path)
             language = detect_language(path, text)
             texts.append((text, str(language)))
             all_modules.extend(parse_source(text, language))
@@ -577,6 +609,12 @@ def main(argv: list[str] | None = None) -> int:
         return _dispatch(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if args.command == "lint" and isinstance(exc, _InputError):
+            # lint's status 1 reads "warnings"; an input it could not
+            # load is an error.
+            from repro.analysis import EXIT_ERRORS
+
+            return EXIT_ERRORS
         return 1
 
 
@@ -609,7 +647,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         sources = []
         known: list[str] = []
         for path in args.sources:
-            text = Path(path).read_text(encoding="utf-8")
+            text = _input_text(path)
             language = detect_language(path, text)
             sources.append((text, language))
             known.extend(m.name for m in parse_file(path).modules)
@@ -637,12 +675,20 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "stats":
         from repro.observe import read_trace, render_trace_summary
 
-        print(render_trace_summary(read_trace(args.trace)))
+        try:
+            trace = read_trace(args.trace)
+        except OSError as exc:
+            raise ReproError(f"cannot read {args.trace}: {exc.strerror or exc}") from None
+        except (ValueError, AttributeError):
+            raise ReproError(f"{args.trace} is not a JSONL trace") from None
+        print(render_trace_summary(trace))
         return 0
 
     if args.command == "cache":
         from repro.cache import open_store
 
+        if not Path(args.store).is_dir():
+            raise ReproError(f"no result store at {args.store}")
         store = open_store(args.store)
         if args.action == "stats":
             from repro.cache import FIDELITY_RANKS
@@ -738,10 +784,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "jobs":
-        from repro.serve import FileJobQueue
-
         rows = []
-        for record in FileJobQueue(Path(args.root) / "queue").jobs():
+        for record in _queue(args.root).jobs():
             stats = record.stats
             hits = stats.get("cache_hits")
             rows.append((
@@ -762,9 +806,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "cancel":
-        from repro.serve import FileJobQueue
-
-        state = FileJobQueue(Path(args.root) / "queue").cancel(args.job_id)
+        state = _queue(args.root).cancel(args.job_id)
         if state is None:
             print(f"unknown job: {args.job_id}", file=sys.stderr)
             return 1

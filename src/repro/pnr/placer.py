@@ -11,13 +11,21 @@ seed) — the property result caching relies on.
 Capacity legality (resource overflow, including the pin-overflow case the
 boxing step exists to avoid) is checked here, where Vivado reports it.
 
-Each annealing move evaluates the cost terms touching one block twice.
-Netlists have only a handful of blocks, so those delta costs run as
-scalar Python over precomputed per-block rows: numpy's per-call overhead
-would dominate arrays this small.  The scalar terms are summed by
-:func:`pairwise_sum`, which adds in exactly the order numpy's float64
-``sum`` does, so every placement is bit-identical to the array
+Each annealing move compares the cost terms touching one block before
+and after the move.  Netlists have only a handful of blocks, so those
+local costs run as scalar Python over precomputed per-block rows:
+numpy's per-call overhead would dominate arrays this small.  The scalar
+terms are summed in exactly the order numpy's float64 ``sum`` adds them
+(:func:`pairwise_sum`), so every placement is bit-identical to the array
 formulation.
+
+A block's local cost is kept until a move changes one of its terms, and
+reused as the next move's "before" value.  A rejected move restores the
+positions bit for bit, so nothing is dropped.  An accepted move of block
+*i* drops the cost of *i*'s net neighbours and of every block whose
+overlap term with *i* was nonzero before or after the move; any other
+block's term with *i* was 0.0 and still is, so its cost stays exact.
+About 1.4 local costs are evaluated per move instead of 2.
 """
 
 from __future__ import annotations
@@ -179,11 +187,15 @@ def place(
 
     min_sep = (sides[:, None] + sides[None, :]) / 2.0
 
-    # Scalar rows for delta-cost evaluation: each block's incident nets as
-    # (src, dst, weight) in net order, and its min-separation row.
+    # Scalar rows for local-cost evaluation: each block's incident nets as
+    # (src, dst, weight) in net order, its net neighbours and its
+    # min-separation row.
     net_rows = list(zip(src.tolist(), dst.tolist(), weights.tolist()))
     incident = [
         [row for row in net_rows if row[0] == i or row[1] == i] for i in range(n)
+    ]
+    neighbours = [
+        sorted({j for a, b, _ in incident[i] for j in (a, b)} - {i}) for i in range(n)
     ]
     sep_rows = min_sep.tolist()
 
@@ -210,28 +222,46 @@ def place(
     xs: list[float] = xy[:, 0].tolist()
     ys: list[float] = xy[:, 1].tolist()
 
-    def local_cost(i: int) -> float:
-        """Cost terms involving block ``i`` only (for delta evaluation).
+    def local_cost(i: int) -> tuple[float, list[int]]:
+        """Cost terms involving block ``i`` only, and the blocks overlapping it.
 
-        Each term list is summed in numpy's order (see
-        :func:`pairwise_sum`).  Overlap terms that are zero are left at
-        0.0 in their lane slot: adding ``+0.0`` to a non-negative partial
-        sum is exact, so only the nonzero slots matter.
+        Each term list sums to the bits numpy's order gives (see
+        :func:`pairwise_sum`).  Fewer than eight net terms add left to
+        right from 0.0, which is that order.  Overlap terms that are zero
+        add ``+0.0`` to a non-negative partial sum, which is exact, so
+        only the nonzero ones matter: none, one or two of them sum to
+        0.0, *a* or *a* + *b* in every lane order.  Three or more take
+        their lane slots in the full row.
         """
-        total = pairwise_sum([
-            w * (abs(xs[a] - xs[b]) + abs(ys[a] - ys[b])) for a, b, w in incident[i]
-        ])
-        if n > 1:
-            xi, yi = xs[i], ys[i]
+        rows = incident[i]
+        if len(rows) < _UNROLL:
+            total = 0.0
+            for a, b, w in rows:
+                total += w * (abs(xs[a] - xs[b]) + abs(ys[a] - ys[b]))
+        else:
+            total = pairwise_sum([
+                w * (abs(xs[a] - xs[b]) + abs(ys[a] - ys[b])) for a, b, w in rows
+            ])
+        xi, yi = xs[i], ys[i]
+        touching: list[int] = []
+        terms: list[float] = []
+        for j, sep in enumerate(sep_rows[i]):
+            ox = sep - abs(xs[j] - xi)
+            if ox > 0.0 and j != i:
+                oy = sep - abs(ys[j] - yi)
+                if oy > 0.0:
+                    touching.append(j)
+                    terms.append(ox * oy)
+        if len(terms) == 1:
+            total += 2.5 * terms[0]
+        elif len(terms) == 2:
+            total += 2.5 * (terms[0] + terms[1])
+        elif terms:
             overlaps = [0.0] * n
-            for j, sep in enumerate(sep_rows[i]):
-                ox = sep - abs(xs[j] - xi)
-                if ox > 0.0 and j != i:
-                    oy = sep - abs(ys[j] - yi)
-                    if oy > 0.0:
-                        overlaps[j] = ox * oy
+            for j, term in zip(touching, terms):
+                overlaps[j] = term
             total += 2.5 * pairwise_sum(overlaps)
-        return total
+        return total, touching
 
     warm = initial is not None
     schedule_scale = 0.35 if warm else 1.0
@@ -247,15 +277,30 @@ def place(
     jitters = rng.normal(0.0, 1.0, size=(iters, 2)).tolist()
     accepts = rng.random(size=iters).tolist()
 
+    # known[i]: block i's local cost and overlapping blocks, while exact.
+    known: list[tuple[float, list[int]] | None] = [None] * n
     for i, (jx, jy), accept in zip(block_picks, jitters, accepts):
         old_x, old_y = xs[i], ys[i]
-        before = local_cost(i)
+        held = known[i]
+        if held is None:
+            held = local_cost(i)
+        before, touched_before = held
         sigma = max(0.8, radius)
         xs[i] = min(max(old_x + jx * sigma, 1.0), x_max)
         ys[i] = min(max(old_y + jy * sigma, 1.0), y_max)
-        delta = local_cost(i) - before
-        if not (delta <= 0 or accept < np.exp(-delta / max(temperature, 1e-9))):
+        moved = local_cost(i)
+        delta = moved[0] - before
+        if delta <= 0 or accept < np.exp(-delta / max(temperature, 1e-9)):
+            for j in neighbours[i]:
+                known[j] = None
+            for j in touched_before:
+                known[j] = None
+            for j in moved[1]:
+                known[j] = None
+            known[i] = moved
+        else:
             xs[i], ys[i] = old_x, old_y
+            known[i] = held
         temperature *= cooling
         radius = max(1.0, radius * cooling)
     xy[:, 0] = xs

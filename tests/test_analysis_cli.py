@@ -58,6 +58,16 @@ class TestExitCodes:
         with pytest.raises(SystemExit):
             main(["lint"])
 
+    def test_missing_source_is_an_error_not_a_warning(self, tmp_path, capsys):
+        # Status 1 would read "warnings" in CI.
+        assert main(["lint", str(tmp_path / "nope.v")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read") and err.count("\n") == 1
+
+    def test_unknown_design_is_an_error(self, capsys):
+        assert main(["lint", "--design", "nope"]) == 2
+        assert "unknown design 'nope'" in capsys.readouterr().err
+
 
 class TestFormats:
     def test_list_rules_prints_catalog(self, capsys):

@@ -181,6 +181,53 @@ class TestCommands:
         assert "error:" in capsys.readouterr().err
 
 
+class TestInputErrors:
+    """A bad input file or name prints one ``error:`` line and returns 1."""
+
+    @pytest.mark.parametrize("argv", [
+        ["hierarchy", "{missing}"],
+        ["stats", "{missing}"],
+        ["eval", "--source", "{missing}", "--top", "t"],
+        ["dse", "--source", "{missing}", "--top", "t", "--param", "W:1:4"],
+        ["sweep", "--source", "{missing}", "--top", "t", "--grid", "W=1,2"],
+        ["eval", "--design", "nope"],
+        ["stats", "{not_jsonl}"],
+    ], ids=["hierarchy", "stats", "eval-source", "dse-source", "sweep-source",
+            "eval-design", "stats-not-jsonl"])
+    def test_one_error_line(self, argv, tmp_path, capsys):
+        not_jsonl = tmp_path / "fifo.v"
+        not_jsonl.write_text("module fifo; endmodule\n")
+        names = {"missing": tmp_path / "nope.v", "not_jsonl": not_jsonl}
+        assert main([arg.format(**names) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+class TestReadOnlyCommands:
+    """Commands that only read a store or queue create neither."""
+
+    @pytest.mark.parametrize("action", ["stats", "export", "clear", "compact"])
+    def test_cache_on_missing_store(self, action, tmp_path, capsys):
+        store = tmp_path / "store"
+        assert main(["cache", action, "--store", str(store)]) == 1
+        assert "no result store" in capsys.readouterr().err
+        assert not store.exists()
+
+    @pytest.mark.parametrize("argv", [["jobs"], ["cancel", "job-000000"]])
+    def test_queue_commands_on_missing_root(self, argv, tmp_path, capsys):
+        root = tmp_path / "svc"
+        assert main(argv + ["--root", str(root)]) == 1
+        assert "no job queue" in capsys.readouterr().err
+        assert not root.exists()
+
+    def test_submit_still_creates_its_root(self, tmp_path, capsys):
+        root = tmp_path / "svc"
+        assert main(["submit", "--root", str(root), "--design", "tirex"]) == 0
+        assert main(["jobs", "--root", str(root)]) == 0
+        assert "tirex" in capsys.readouterr().out
+
+
 class TestSweepCommand:
     def test_sweep_grid(self, capsys):
         rc = main([

@@ -1,10 +1,12 @@
 """The scalar placer is bit-identical to the numpy formulation it replaced.
 
-Two layers of evidence: :func:`pairwise_sum` reproduces numpy's float64
+Three layers of evidence: :func:`pairwise_sum` reproduces numpy's float64
 summation order exactly (a property test over lengths crossing both the
-8-term unroll and the 128-term block size), and ``place`` returns the
-same coordinates and cost (``==``) as the frozen numpy reference in
-``tests/_reference_placer.py`` on every bundled design's mapped netlist.
+8-term unroll and the 128-term block size); ``place`` returns the same
+coordinates and cost (``==``) as the frozen numpy reference in
+``tests/_reference_placer.py`` on every bundled design's mapped netlist;
+and on drawn netlists every Metropolis test sees the reference's delta
+bit for bit, which pins the placer's cached local costs.
 """
 
 from __future__ import annotations
@@ -114,3 +116,96 @@ class TestScalarPlacerEquivalence:
     def test_synthetic_sizes(self, blocks):
         design = map_to_device(_ring_netlist(blocks), get_device("XCVU9P-FLGA2104-2"))
         _assert_same(design, seed=3, effort=0.2 if blocks > 100 else 1.0)
+
+
+# --- The cached local cost ---------------------------------------------------
+#
+# ``place`` reuses a block's local cost as the next move's "before" value
+# until a move may have changed one of its terms.  A stale cache entry, a
+# missing invalidation or an inexact shortcut sum changes a move's delta; a
+# delta off by one ulp rarely flips an accept decision, so each case below
+# also records every Metropolis argument ``-delta / temperature`` (the
+# placer and the reference both call ``np.exp`` on it) and requires the
+# two traces to be equal bit for bit.
+
+_KINTEX = get_device("XC7K70T")
+
+
+@st.composite
+def _placement_cases(draw, blocks: st.SearchStrategy[int], efforts: st.SearchStrategy[float]):
+    """A random netlist on a small part, with a seed, an effort and a warm start.
+
+    Some blocks carry thousands of flip-flops, so their footprints span a
+    fifth of the grid and three or more overlap terms are nonzero at once;
+    warm starts can pile blocks into one corner.  A hub block wired both
+    ways to up to thirteen others has eight or more incident nets.  The
+    totals stay within the part, so every case places.
+    """
+    n = draw(blocks)
+    big = draw(st.integers(0, min(n, 6)))
+    netlist = Netlist(top=f"drawn{n}")
+    for k in range(n):
+        ff = draw(st.integers(3000, 12000)) if k < big else draw(st.integers(0, 64))
+        netlist.add_block(Block(name=f"b{k}", logic_terms=draw(st.integers(1, 200)), ff_bits=ff))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 64))
+    for a, b, width in draw(st.lists(pairs, max_size=2 * n)):
+        if a != b:
+            netlist.connect(f"b{a}", f"b{b}", width=width)
+    hub = draw(st.integers(0, n - 1))
+    if n > 1 and draw(st.booleans()):
+        for k in range(min(n, 13)):
+            if k != hub:
+                netlist.connect(f"b{hub}", f"b{k}", width=draw(st.integers(1, 64)))
+                netlist.connect(f"b{k}", f"b{hub}")
+    netlist.set_ports(4, 4)
+    design = map_to_device(netlist, _KINTEX)
+
+    kwargs: dict = {"effort": draw(efforts)}
+    seed = draw(st.integers(0, 2**32 - 1))
+    kwargs["seed"] = np.random.default_rng(seed) if draw(st.booleans()) else seed
+    start = draw(st.sampled_from(["cold", "partial", "full"]))
+    if start != "cold":
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        span = draw(st.sampled_from([6.0, 20.0, 80.0]))
+        spots = rng.uniform(0.0, span, size=(n, 2)).tolist()
+        kept = range(n) if start == "full" else range(0, n, 2)
+        kwargs["initial"] = {f"b{k}": tuple(spots[k]) for k in kept}
+    return design, kwargs
+
+
+def _traced(placer, design: MappedDesign, kwargs: dict):
+    """``placer(design, **kwargs)`` and the hex of every ``np.exp`` argument."""
+    seen: list[str] = []
+    real_exp = np.exp
+
+    def exp(x):
+        seen.append(float(x).hex())
+        return real_exp(x)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "exp", exp)
+        result = placer(design, **copy.deepcopy(kwargs))
+    return result, seen
+
+
+def _assert_same_moves(case) -> None:
+    design, kwargs = case
+    expected, expected_trace = _traced(reference_place, design, kwargs)
+    got, trace = _traced(place, design, kwargs)
+    assert trace == expected_trace
+    assert got.coords == expected.coords
+    assert got.cost == expected.cost
+    assert got.iterations == expected.iterations
+    assert got.seeded_from_checkpoint == expected.seeded_from_checkpoint
+
+
+class TestCachedLocalCost:
+    @settings(max_examples=200, deadline=None)
+    @given(_placement_cases(st.integers(1, 24), st.floats(0.2, 1.5)))
+    def test_every_move_sees_the_reference_delta(self, case):
+        _assert_same_moves(case)
+
+    @settings(max_examples=10, deadline=None)
+    @given(_placement_cases(st.integers(124, 134), st.floats(0.2, 0.3)))
+    def test_rows_crossing_the_block_size(self, case):
+        _assert_same_moves(case)
